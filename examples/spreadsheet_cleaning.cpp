@@ -4,7 +4,8 @@
 // the input.
 //
 // Usage: ./build/examples/spreadsheet_cleaning [input.csv]
-// Without an argument, a demo spreadsheet is generated in /tmp.
+// Without an argument, a demo spreadsheet is generated in /tmp. A failed
+// write or read prints its Status and exits 1.
 
 #include <cstdio>
 #include <string>
@@ -13,6 +14,7 @@
 #include "datagen/corpus_gen.h"
 #include "table/csv.h"
 #include "table/table.h"
+#include "util/status.h"
 
 using autotest::core::AutoTest;
 using autotest::core::AutoTestConfig;
@@ -20,8 +22,9 @@ using autotest::core::Variant;
 
 namespace {
 
-std::string WriteDemoSpreadsheet() {
-  const char* path = "/tmp/autotest_demo_spreadsheet.csv";
+constexpr const char* kDemoPath = "/tmp/autotest_demo_spreadsheet.csv";
+
+autotest::util::Status WriteDemoSpreadsheet(const std::string& path) {
   autotest::table::Table t;
   t.name = "orders";
   autotest::table::Column order;
@@ -49,20 +52,28 @@ std::string WriteDemoSpreadsheet() {
     email.values.push_back(emails[i]);
   }
   t.columns = {order, state, email};
-  autotest::table::WriteCsvFile(t, path);
-  return path;
+  return autotest::table::TryWriteCsvFile(t, path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path = argc > 1 ? argv[1] : WriteDemoSpreadsheet();
-  auto maybe_table = autotest::table::ReadCsvFile(path);
-  if (!maybe_table) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+  std::string path = argc > 1 ? argv[1] : kDemoPath;
+  if (argc <= 1) {
+    autotest::util::Status written = WriteDemoSpreadsheet(path);
+    if (!written.ok()) {
+      std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                   written.ToString().c_str());
+      return 1;
+    }
+  }
+  auto read = autotest::table::TryReadCsvFile(path);
+  if (!read.ok()) {
+    std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
+                 read.status().ToString().c_str());
     return 1;
   }
-  autotest::table::Table table = std::move(*maybe_table);
+  autotest::table::Table table = std::move(read).value();
   std::printf("Loaded %s: %zu columns x %zu rows\n", path.c_str(),
               table.num_columns(), table.num_rows());
 

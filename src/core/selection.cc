@@ -30,9 +30,9 @@ uint64_t HashIds(const std::vector<uint32_t>& ids) {
 
 // Deterministic tie-break perturbation on the x objectives: strictly
 // negative and unique per rule, ~1e-5 in magnitude. It makes the LP
-// optimum generically unique, which is what lets the dense tableau, the
-// revised simplex, and warm re-solves land on the same vertex and
-// therefore the same rounded selection. The scale matters on both sides:
+// optimum generically unique, which is what lets a warm re-solve and a
+// cold solve of the same program land on the same vertex and therefore
+// the same rounded selection. The scale matters on both sides:
 // pairwise (and small-subset) perturbation differences must stay well
 // above the simplex pricing tolerance (1e-9) or alternate optima within
 // tolerance survive, while the worst-case total (max_lp_variables x 2e-5
@@ -200,11 +200,8 @@ IncrementalSelector::BuiltLp IncrementalSelector::BuildProgram(
   fpr_c.rhs = options_.fpr_budget;
   base.AddConstraint(std::move(fpr_c));
 
-  lp::RevisedSimplexOptions lp_opt;
-  lp_opt.refactor_interval = options_.refactor_interval;
   BuiltLp built;
-  built.solver =
-      std::make_unique<lp::IncrementalSolver>(std::move(base), lp_opt);
+  built.solver = std::make_unique<lp::IncrementalSolver>(base);
   built.y_var_of_j.assign(model_.num_synthetic, kNoVar);
   for (size_t r : rules) AppendColumn(&built, r);
   return built;
@@ -230,15 +227,16 @@ void IncrementalSelector::AppendColumn(BuiltLp* built, size_t rule) const {
       PerturbObjective(rule), 1.0, terms));
 }
 
-lp::Solution IncrementalSelector::RunSolver(BuiltLp* built,
-                                            bool* warm_out) const {
-  if (options_.solver == SelectionSolver::kDenseTableau) {
-    *warm_out = false;
-    return lp::SolveLpDense(built->solver->program());
-  }
-  lp::Solution sol = built->solver->Solve();
-  *warm_out = built->solver->last_solve_was_warm();
-  return sol;
+void IncrementalSelector::SolveAndRound(BuiltLp* built,
+                                        const std::vector<size_t>& rules,
+                                        SelectionResult* result) const {
+  const lp::Solution& sol = built->solver->Solve();
+  result->lp_status = sol.status;
+  result->lp_num_variables = built->solver->num_vars();
+  result->lp_num_rows = built->solver->num_rows();
+  result->warm_started = built->solver->last_solve_was_warm();
+  if (sol.status != lp::SolveStatus::kOptimal) return;
+  RoundAndFinish(sol, rules, built->x_vars, result);
 }
 
 void IncrementalSelector::RoundAndFinish(const lp::Solution& sol,
@@ -373,14 +371,9 @@ SelectionResult IncrementalSelector::Reselect(size_t num_candidates) {
     return finish(result);
   }
 
-  if (options_.solver == SelectionSolver::kGreedy ||
-      (options_.greedy_fallback_threshold > 0 &&
-       kept_.size() > options_.greedy_fallback_threshold)) {
-    return finish(RunGreedy());
-  }
+  if (options_.solver == SelectionSolver::kGreedy) return finish(RunGreedy());
 
   SelectionResult result;
-  bool warm = false;
   if (kept_.size() > options_.max_lp_variables) {
     // Prefiltered one-shot: the active set is no longer a prefix of the
     // kept stream, so warm reuse is off and the persistent LP is dropped.
@@ -391,13 +384,7 @@ SelectionResult IncrementalSelector::Reselect(size_t num_candidates) {
     structure_dirty_ = true;
     std::vector<size_t> active = PrefilteredRules();
     BuiltLp built = BuildProgram(active);
-    lp::Solution sol = RunSolver(&built, &warm);
-    result.lp_status = sol.status;
-    result.lp_num_variables = built.solver->num_vars();
-    result.lp_num_rows = built.solver->num_rows();
-    result.warm_started = warm;
-    if (sol.status != lp::SolveStatus::kOptimal) return finish(result);
-    RoundAndFinish(sol, active, built.x_vars, &result);
+    SolveAndRound(&built, active, &result);
     return finish(result);
   }
 
@@ -411,13 +398,7 @@ SelectionResult IncrementalSelector::Reselect(size_t num_candidates) {
     }
     lp_cols_built_ = kept_.size();
   }
-  lp::Solution sol = RunSolver(&lp_, &warm);
-  result.lp_status = sol.status;
-  result.lp_num_variables = lp_.solver->num_vars();
-  result.lp_num_rows = lp_.solver->num_rows();
-  result.warm_started = warm;
-  if (sol.status != lp::SolveStatus::kOptimal) return finish(result);
-  RoundAndFinish(sol, kept_, lp_.x_vars, &result);
+  SolveAndRound(&lp_, kept_, &result);
   return finish(result);
 }
 

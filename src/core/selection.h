@@ -17,9 +17,6 @@ enum class SelectionSolver {
   /// Sparse revised simplex (lp::SolveLp); warm-startable across
   /// candidate additions via lp::IncrementalSolver. Default.
   kRevisedSimplex,
-  /// Retained dense tableau reference (lp::SolveLpDense), kept for
-  /// equivalence checking while the deprecation window is open.
-  kDenseTableau,
   /// Skip the LP entirely: lazy greedy weighted max coverage under both
   /// budgets, with the classic (1 - 1/e) approximation guarantee on the
   /// size-budget relaxation. Deterministic (no randomized rounding).
@@ -46,13 +43,6 @@ struct SelectionOptions {
   size_t num_threads = 0;
   /// Engine for the LP relaxation (or the greedy bypass).
   SelectionSolver solver = SelectionSolver::kRevisedSimplex;
-  /// When > 0 and more than this many deduplicated candidates survive,
-  /// selection drops to the greedy path regardless of `solver` (the LP is
-  /// O(iterations x nonzeros); greedy is near-linear in the candidates).
-  size_t greedy_fallback_threshold = 0;
-  /// Revised-simplex basis refactorization cadence: number of eta updates
-  /// between sparse-LU rebuilds.
-  size_t refactor_interval = 64;
 };
 
 struct SelectionResult {
@@ -132,7 +122,8 @@ class IncrementalSelector {
   size_t num_candidates_seen() const { return num_seen_; }
 
  private:
-  // The LP mirror plus the bookkeeping to map kept candidates to columns.
+  // The warm-startable LP plus the bookkeeping to map kept candidates to
+  // columns.
   struct BuiltLp {
     std::unique_ptr<lp::IncrementalSolver> solver;
     std::vector<size_t> x_vars;        // parallel to the rule list built
@@ -144,7 +135,8 @@ class IncrementalSelector {
   void DedupStream(size_t lo, size_t hi);
   BuiltLp BuildProgram(const std::vector<size_t>& rules) const;
   void AppendColumn(BuiltLp* built, size_t rule) const;
-  lp::Solution RunSolver(BuiltLp* built, bool* warm_out) const;
+  void SolveAndRound(BuiltLp* built, const std::vector<size_t>& rules,
+                     SelectionResult* result) const;
   void RoundAndFinish(const lp::Solution& sol,
                       const std::vector<size_t>& active_rules,
                       const std::vector<size_t>& x_vars,

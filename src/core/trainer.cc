@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <unordered_set>
@@ -23,6 +22,11 @@ namespace autotest::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Values handed to DomainEvalFunction::BatchDistance per call. Large
+// enough to amortize the per-call cache pass, small enough that a block's
+// distances stay in L1/L2.
+constexpr size_t kEvalBatchSize = 256;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -62,10 +66,7 @@ Thresholds MakeThresholds(const typedet::DomainEvalFunction& eval,
 
 // Per-eval-function accumulators over the corpus pass: coverage counts per
 // (column, d_in), trigger tallies per d_out, and the m-grid buckets the
-// candidate grid is scored from. Built by either the scalar
-// (profile-per-column) or the columnar (pool-memoized) pass; the two MUST
-// fill it identically — FoldColumn below is the shared bucketing step that
-// guarantees the non-arithmetic part of that by construction.
+// candidate grid is scored from.
 struct EvalPass {
   size_t ni = 0;
   size_t no = 0;
@@ -97,9 +98,8 @@ EvalPass MakeEvalPass(size_t num_cols, size_t num_m, size_t ni, size_t no) {
 
 // Folds one eligible column — its inner-ball coverage counts `cov` (one
 // per d_in) and outer-ball trigger flags `trig` (one per d_out) — into the
-// pass accumulators. Bucketing by the largest matching percentage
-// satisfied, the middle-band screen, and the trigger tallies live here so
-// the scalar and columnar passes share them verbatim.
+// pass accumulators: bucketing by the largest matching percentage
+// satisfied, the middle-band screen, and the trigger tallies.
 void FoldColumn(const TrainOptions& options, size_t c, uint32_t total_weight,
                 const uint32_t* cov, const uint8_t* trig, EvalPass* pass) {
   const size_t ni = pass->ni;
@@ -153,40 +153,6 @@ void PrefixSumBuckets(size_t num_m, EvalPass* pass) {
   }
 }
 
-bool ColumnEligible(const table::DistinctValues& distinct,
-                    const TrainOptions& options) {
-  return distinct.total != 0 &&
-         distinct.size() >= options.min_distinct_values;
-}
-
-// Legacy scalar pass: one ColumnDistanceProfile per (eval, column), each
-// distance through the scalar virtual. Kept as the differential reference
-// for the columnar path (TrainOptions::use_columnar = false).
-EvalPass BuildPassScalar(const typedet::DomainEvalFunction& eval,
-                         const std::vector<table::DistinctValues>& distinct,
-                         const Thresholds& th, const TrainOptions& options) {
-  const size_t num_cols = distinct.size();
-  const size_t ni = th.d_ins.size();
-  const size_t no = th.d_outs.size();
-  EvalPass pass = MakeEvalPass(num_cols, options.m_grid.size(), ni, no);
-  std::vector<uint32_t> cov(ni);
-  std::vector<uint8_t> trig(no);
-  for (size_t c = 0; c < num_cols; ++c) {
-    if (!ColumnEligible(distinct[c], options)) continue;
-    ColumnDistanceProfile profile = ComputeProfile(eval, distinct[c]);
-    for (size_t o = 0; o < no; ++o) {
-      trig[o] = profile.CountBeyond(th.d_outs[o]) > 0 ? 1 : 0;
-    }
-    for (size_t i = 0; i < ni; ++i) {
-      cov[i] = static_cast<uint32_t>(profile.CountWithin(th.d_ins[i]));
-    }
-    FoldColumn(options, c, static_cast<uint32_t>(profile.total_weight),
-               cov.data(), trig.data(), &pass);
-  }
-  PrefixSumBuckets(options.m_grid.size(), &pass);
-  return pass;
-}
-
 // Weighted count of column values at or under each ascending threshold:
 // for every (id, weight) pair the first threshold >= its distance gets a
 // histogram increment, and a prefix sum turns the histogram into
@@ -226,14 +192,14 @@ void CountWithinThresholds(std::span<const uint32_t> ids,
   }
 }
 
-// Columnar pass (DESIGN.md §4k): the eval function is scored once per
+// Corpus pass (DESIGN.md §4k): the eval function is scored once per
 // distinct pool value via BatchDistance blocks, then per-column statistics
 // are gathered from the distance array by pool id — no per-column
 // profiles, no per-value virtual calls.
-EvalPass BuildPassColumnar(const typedet::DomainEvalFunction& eval,
-                           const table::ColumnStore& store,
-                           const Thresholds& th, const TrainOptions& options,
-                           std::vector<double>* pool_dist) {
+EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
+                   const table::ColumnStore& store, const Thresholds& th,
+                   const TrainOptions& options,
+                   std::vector<double>* pool_dist) {
   const size_t num_cols = store.num_columns();
   const size_t ni = th.d_ins.size();
   const size_t no = th.d_outs.size();
@@ -241,9 +207,8 @@ EvalPass BuildPassColumnar(const typedet::DomainEvalFunction& eval,
 
   pool_dist->resize(store.pool_size());
   const std::span<const std::string_view> pool = store.pool();
-  const size_t block = std::max<size_t>(1, options.eval_batch_size);
-  for (size_t off = 0; off < pool.size(); off += block) {
-    size_t n = std::min(block, pool.size() - off);
+  for (size_t off = 0; off < pool.size(); off += kEvalBatchSize) {
+    size_t n = std::min(kEvalBatchSize, pool.size() - off);
     eval.BatchDistance(pool.subspan(off, n),
                        std::span<double>(*pool_dist).subspan(off, n),
                        store.pool_id(), off);
@@ -457,21 +422,17 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
   std::vector<SyntheticColumn> synthetic = BuildSyntheticCorpus(
       corpus, options.synthetic_count, options.seed ^ 0x5f5f5f5fULL);
 
-  // Columnar path setup: intern every distinct value once into the shared
-  // arena-backed pool. Synthetic error values are donor values from the
-  // corpus, so they resolve to pool ids and their distances come free with
-  // the pool evaluation.
-  std::optional<table::ColumnStore> store;
-  std::vector<uint32_t> syn_ids;
-  if (options.use_columnar) {
-    store.emplace(table::ColumnStore::Build(distinct));
-    syn_ids.resize(synthetic.size());
-    for (size_t j = 0; j < synthetic.size(); ++j) {
-      uint32_t id = store->Find(synthetic[j].error_value);
-      AT_CHECK_MSG(id != table::ColumnStore::kNotFound,
-                   "synthetic error value missing from the interned pool");
-      syn_ids[j] = id;
-    }
+  // Intern every distinct value once into the shared arena-backed pool.
+  // Synthetic error values are donor values from the corpus, so they
+  // resolve to pool ids and their distances come free with the pool
+  // evaluation.
+  const table::ColumnStore store = table::ColumnStore::Build(distinct);
+  std::vector<uint32_t> syn_ids(synthetic.size());
+  for (size_t j = 0; j < synthetic.size(); ++j) {
+    uint32_t id = store.Find(synthetic[j].error_value);
+    AT_CHECK_MSG(id != table::ColumnStore::kNotFound,
+                 "synthetic error value missing from the interned pool");
+    syn_ids[j] = id;
   }
 
   const int64_t min_cov =
@@ -515,27 +476,18 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
         const auto& eval = evals.at(fi);
         Thresholds th = MakeThresholds(eval, options);
 
-        // Corpus pass: coverage/trigger accumulators, via the columnar
-        // pool-memoized kernels or the legacy per-column profiles.
+        // Corpus pass: coverage/trigger accumulators from the
+        // pool-memoized kernels.
         std::vector<double> pool_dist;
-        EvalPass pass =
-            options.use_columnar
-                ? BuildPassColumnar(eval, *store, th, options, &pool_dist)
-                : BuildPassScalar(eval, distinct, th, options);
+        EvalPass pass = BuildPass(eval, store, th, options, &pool_dist);
         auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
         res.candidate_seconds += Seconds(t0, t1);
 
-        // Distances of the synthetic alien values (recall estimation). In
-        // the columnar path these are gathered from the pool evaluation.
+        // Distances of the synthetic alien values (recall estimation),
+        // gathered from the pool evaluation.
         std::vector<double> syn_dist(synthetic.size());
-        if (options.use_columnar) {
-          for (size_t j = 0; j < synthetic.size(); ++j) {
-            syn_dist[j] = pool_dist[syn_ids[j]];
-          }
-        } else {
-          for (size_t j = 0; j < synthetic.size(); ++j) {
-            syn_dist[j] = eval.Distance(synthetic[j].error_value);
-          }
+        for (size_t j = 0; j < synthetic.size(); ++j) {
+          syn_dist[j] = pool_dist[syn_ids[j]];
         }
         auto t2 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
         res.synthetic_seconds += Seconds(t1, t2);
@@ -596,12 +548,10 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
       .Set(model.timings.candidate_gen_seconds);
   reg.GetGauge(metrics::kMTrainerSyntheticSeconds)
       .Set(model.timings.synthetic_seconds);
-  if (store.has_value()) {
-    reg.GetGauge(metrics::kMTrainerPoolValues)
-        .Set(static_cast<double>(store->pool_size()));
-    reg.GetGauge(metrics::kMTrainerPoolArenaBytes)
-        .Set(static_cast<double>(store->arena_bytes()));
-  }
+  reg.GetGauge(metrics::kMTrainerPoolValues)
+      .Set(static_cast<double>(store.pool_size()));
+  reg.GetGauge(metrics::kMTrainerPoolArenaBytes)
+      .Set(static_cast<double>(store.arena_bytes()));
   return model;
 }
 

@@ -65,18 +65,6 @@ struct TrainOptions {
   uint64_t seed = 77;
   size_t num_threads = 0;  // 0 = hardware concurrency
 
-  /// Columnar training path (DESIGN.md §4k): intern all distinct corpus
-  /// values into a shared arena-backed pool and score each evaluation
-  /// function once per distinct value via BatchDistance, instead of one
-  /// profile (and one virtual call per value) per column. Byte-identical
-  /// models to the scalar path; `false` keeps the legacy per-column
-  /// profiles as the differential reference.
-  bool use_columnar = true;
-  /// Values handed to DomainEvalFunction::BatchDistance per call on the
-  /// columnar path. Large enough to amortize the per-call cache pass,
-  /// small enough that a block's distances stay in L1/L2.
-  size_t eval_batch_size = 256;
-
   /// In-memory retry budget for a family whose evaluation pass hits a
   /// transient injected fault (failpoint "trainer.eval" with a retryable
   /// code). Evaluation is pure CPU work, so retries are immediate — no
@@ -129,6 +117,9 @@ struct TrainedModel {
 
 /// Runs offline training (candidate generation + statistical assessment +
 /// recall estimation) against the corpus. Deterministic in options.seed.
+/// The corpus pass is columnar (DESIGN.md §4k): every distinct corpus
+/// value is interned once into a shared arena-backed pool and each
+/// evaluation function scores the pool in BatchDistance blocks.
 TrainedModel TrainAutoTest(const table::Corpus& corpus,
                            const typedet::EvalFunctionSet& evals,
                            const TrainOptions& options = {});

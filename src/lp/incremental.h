@@ -19,14 +19,9 @@ namespace autotest::lp {
 /// two-phase method — a new column enters nonbasic at its lower bound, so
 /// an optimal basis stays primal feasible and only dual feasibility has
 /// to be restored.
-///
-/// The wrapped LinearProgram mirror (`program()`) is kept in sync so a
-/// reference solver (`SolveLpDense`) can be run on the byte-identical
-/// program, which is how the selection layer proves solver equivalence.
 class IncrementalSolver {
  public:
-  explicit IncrementalSolver(LinearProgram base,
-                             RevisedSimplexOptions options = {});
+  explicit IncrementalSolver(const LinearProgram& base);
 
   /// Appends a variable with coefficients `terms` = (row index, coef).
   /// Returns the variable index.
@@ -46,12 +41,10 @@ class IncrementalSolver {
   /// basis rather than running the full two-phase method.
   bool last_solve_was_warm() const { return last_solve_was_warm_; }
 
-  const LinearProgram& program() const { return program_; }
-  size_t num_vars() const { return program_.num_vars; }
-  size_t num_rows() const { return program_.constraints.size(); }
+  size_t num_vars() const { return engine_.num_structurals(); }
+  size_t num_rows() const { return engine_.num_rows(); }
 
  private:
-  LinearProgram program_;
   RevisedSimplex engine_;
   Solution solution_;
   bool solved_once_ = false;

@@ -26,6 +26,10 @@ constexpr uint32_t kNoPos = 0xffffffffu;
 // Eta entries below this magnitude are dropped; the periodic
 // refactorization bounds the accumulated error.
 constexpr double kEtaDropTol = 1e-13;
+// Product-form eta vectors accumulated between LU refactorizations.
+constexpr size_t kRefactorInterval = 64;
+// Absolute pivot threshold below which a basis is declared singular.
+constexpr double kPivotTol = 1e-11;
 
 ConstraintType FlipType(ConstraintType t) {
   switch (t) {
@@ -41,9 +45,7 @@ ConstraintType FlipType(ConstraintType t) {
 
 }  // namespace
 
-RevisedSimplex::RevisedSimplex(const LinearProgram& lp,
-                               RevisedSimplexOptions options)
-    : options_(options) {
+RevisedSimplex::RevisedSimplex(const LinearProgram& lp) {
   AT_CHECK(lp.objective.size() == lp.num_vars);
   AT_CHECK(lp.upper_bounds.size() == lp.num_vars);
   m_ = lp.constraints.size();
@@ -211,7 +213,7 @@ void RevisedSimplex::ResetToInitialBasis() {
 bool RevisedSimplex::Refactorize() {
   std::vector<const SparseColumn*> cols(m_);
   for (size_t k = 0; k < m_; ++k) cols[k] = &cols_[basis_[k]];
-  if (!lu_.Factorize(cols, options_.pivot_tol)) return false;
+  if (!lu_.Factorize(cols, kPivotTol)) return false;
   etas_.clear();
   eta_nnz_ = 0;
   factor_valid_ = true;
@@ -304,7 +306,7 @@ SolveStatus RevisedSimplex::RunSimplex(const std::vector<double>& cost,
     // Refactorize on cadence, or early once the eta file costs more to
     // apply than a fresh factorization would (dense etas accumulate fast
     // on degenerate instances).
-    if (!factor_valid_ || etas_.size() >= options_.refactor_interval ||
+    if (!factor_valid_ || etas_.size() >= kRefactorInterval ||
         eta_nnz_ > 4 * (lu_.factor_nnz() + m_)) {
       if (!Refactorize()) return SolveStatus::kIterationLimit;
       ++total_refactorizations_;

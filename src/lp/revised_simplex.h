@@ -10,18 +10,11 @@
 
 namespace autotest::lp {
 
-/// Tuning knobs for the sparse revised simplex.
-struct RevisedSimplexOptions {
-  /// Product-form eta vectors accumulated between LU refactorizations.
-  size_t refactor_interval = 64;
-  /// Absolute pivot threshold below which a basis is declared singular.
-  double pivot_tol = 1e-11;
-};
-
 /// Sparse revised simplex engine: column-major sparse constraint storage,
 /// LU-factorized basis with a product-form eta file and periodic
-/// refactorization, Dantzig pricing over column nonzeros with a Bland
-/// anti-cycling fallback, and native variable upper bounds (bound flips).
+/// refactorization, devex pricing over maintained reduced costs with a
+/// Bland anti-cycling fallback, and native variable upper bounds (bound
+/// flips).
 ///
 /// Internal column layout: row slacks occupy [0, m), artificials
 /// [m, m + na), and structural (external) variables grow from m + na.
@@ -31,8 +24,7 @@ struct RevisedSimplexOptions {
 /// the two-phase method.
 class RevisedSimplex {
  public:
-  explicit RevisedSimplex(const LinearProgram& lp,
-                          RevisedSimplexOptions options = {});
+  explicit RevisedSimplex(const LinearProgram& lp);
 
   /// Appends a structural column. `terms` holds (constraint row, coef)
   /// pairs in external row ids; duplicates are summed. The new variable
@@ -95,7 +87,6 @@ class RevisedSimplex {
   SolveStatus RunSimplex(const std::vector<double>& cost,
                          bool allow_artificial_entering);
 
-  RevisedSimplexOptions options_;
   size_t m_ = 0;            // rows
   size_t num_struct_ = 0;   // external variables
   size_t art_begin_ = 0;    // == m_

@@ -262,19 +262,4 @@ util::Status TryWriteCsvFile(const Table& table, const std::string& path,
   return Status::Ok();
 }
 
-std::optional<Table> ParseCsv(std::string_view text,
-                              const CsvOptions& options) {
-  return TryParseCsv(text, options).ToOptional();
-}
-
-std::optional<Table> ReadCsvFile(const std::string& path,
-                                 const CsvOptions& options) {
-  return TryReadCsvFile(path, options).ToOptional();
-}
-
-bool WriteCsvFile(const Table& table, const std::string& path,
-                  const CsvOptions& options) {
-  return TryWriteCsvFile(table, path, options).ok();
-}
-
 }  // namespace autotest::table

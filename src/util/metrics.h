@@ -31,7 +31,7 @@
 // it is a per-metric-consistent, not cross-metric-consistent, picture:
 // each value is some value the metric actually held, but two metrics may
 // be read at slightly different instants. That is the right trade for
-// diagnostics (identical to parallel::Stats before the migration).
+// diagnostics.
 //
 // Registration is idempotent and permanent: GetCounter("a.b") always
 // returns the same object, references stay valid for process lifetime,
@@ -198,8 +198,8 @@ inline constexpr std::string_view kAllMetrics[] = {
 
 // ---------------------------------------------------------------------------
 // Metric objects. Handed out by reference from the Registry; increments
-// are lock-free relaxed atomics. Reset() exists for tests and the
-// parallel::ResetStats() shim — production code only ever adds.
+// are lock-free relaxed atomics. Reset() exists for tests — production
+// code only ever adds.
 // ---------------------------------------------------------------------------
 
 class Counter {
@@ -319,8 +319,8 @@ class Registry {
   std::string FormatText() const;
   std::string FormatJson(std::string_view source) const;
 
-  /// Zeroes every value but keeps all registrations (tests and the
-  /// parallel::ResetStats() shim; production never resets).
+  /// Zeroes every value but keeps all registrations (tests only;
+  /// production never resets).
   void ResetValuesForTest() AT_EXCLUDES(mu_);
 
  private:

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/check.h"
+#include "util/metrics.h"
 
 namespace autotest::util::parallel {
 
@@ -37,64 +38,61 @@ size_t HeuristicGrain(size_t n, size_t participants) {
   return std::clamp<size_t>(grain, 1, kMaxGrain);
 }
 
+// The pool's `parallel.*` registry counters, cached once so the hot path
+// never takes the registry lock.
+struct Counters {
+  // Parallel-region entries, including ones that fell back to serial.
+  metrics::Counter& invocations;
+  // Regions run inline on the caller (n too small, one thread requested,
+  // or a nested call inside a running region).
+  metrics::Counter& serial_invocations;
+  metrics::Counter& items;
+  metrics::Counter& chunks;
+  // Chunks a worker claimed from another worker's range.
+  metrics::Counter& steals;
+  // Per parallel region: participants that joined (submitter included)
+  // and participant slots offered.
+  metrics::Counter& participants;
+  metrics::Counter& slots_offered;
+};
+
+Counters& PoolCounters() {
+  static Counters counters = [] {
+    metrics::Registry& reg = metrics::Registry::Global();
+    return Counters{reg.GetCounter(metrics::kMParallelInvocations),
+                    reg.GetCounter(metrics::kMParallelSerialInvocations),
+                    reg.GetCounter(metrics::kMParallelItems),
+                    reg.GetCounter(metrics::kMParallelChunks),
+                    reg.GetCounter(metrics::kMParallelSteals),
+                    reg.GetCounter(metrics::kMParallelParticipants),
+                    reg.GetCounter(metrics::kMParallelSlotsOffered)};
+  }();
+  return counters;
+}
+
 }  // namespace
 
-Stats& GlobalStats() {
-  // The counters live in the global metrics registry; this block of
-  // references is the pool's cached handle so the hot path never takes
-  // the registry lock.
-  static Stats stats{
-      metrics::Registry::Global().GetCounter(metrics::kMParallelInvocations),
-      metrics::Registry::Global().GetCounter(
-          metrics::kMParallelSerialInvocations),
-      metrics::Registry::Global().GetCounter(metrics::kMParallelItems),
-      metrics::Registry::Global().GetCounter(metrics::kMParallelChunks),
-      metrics::Registry::Global().GetCounter(metrics::kMParallelSteals),
-      metrics::Registry::Global().GetCounter(metrics::kMParallelParticipants),
-      metrics::Registry::Global().GetCounter(
-          metrics::kMParallelSlotsOffered)};
-  return stats;
-}
-
-StatsSnapshot SnapshotStats() {
-  const Stats& s = GlobalStats();
-  StatsSnapshot out;
-  out.invocations = s.invocations.value();
-  out.serial_invocations = s.serial_invocations.value();
-  out.items = s.items.value();
-  out.chunks = s.chunks.value();
-  out.steals = s.steals.value();
-  out.participants = s.participants.value();
-  out.slots_offered = s.slots_offered.value();
-  return out;
-}
-
-void ResetStats() {
-  Stats& s = GlobalStats();
-  s.invocations.Reset();
-  s.serial_invocations.Reset();
-  s.items.Reset();
-  s.chunks.Reset();
-  s.steals.Reset();
-  s.participants.Reset();
-  s.slots_offered.Reset();
-}
-
 std::string FormatStats() {
-  StatsSnapshot s = SnapshotStats();
+  const Counters& c = PoolCounters();
+  const uint64_t participants = c.participants.value();
+  const uint64_t slots_offered = c.slots_offered.value();
+  const double utilization =
+      slots_offered == 0 ? 1.0
+                         : static_cast<double>(participants) /
+                               static_cast<double>(slots_offered);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "parallel::Stats: invocations=%llu (serial=%llu) "
                 "items=%llu chunks=%llu steals=%llu utilization=%.0f%% "
                 "(participants %llu/%llu)",
-                static_cast<unsigned long long>(s.invocations),
-                static_cast<unsigned long long>(s.serial_invocations),
-                static_cast<unsigned long long>(s.items),
-                static_cast<unsigned long long>(s.chunks),
-                static_cast<unsigned long long>(s.steals),
-                100.0 * s.utilization(),
-                static_cast<unsigned long long>(s.participants),
-                static_cast<unsigned long long>(s.slots_offered));
+                static_cast<unsigned long long>(c.invocations.value()),
+                static_cast<unsigned long long>(c.serial_invocations.value()),
+                static_cast<unsigned long long>(c.items.value()),
+                static_cast<unsigned long long>(c.chunks.value()),
+                static_cast<unsigned long long>(c.steals.value()),
+                100.0 * utilization,
+                static_cast<unsigned long long>(participants),
+                static_cast<unsigned long long>(slots_offered));
   return buf;
 }
 
@@ -164,7 +162,7 @@ void ThreadPool::RunSerial(size_t n, size_t grain, const ChunkFn& body) {
 
 void ThreadPool::RunChunked(size_t n, size_t grain, size_t num_threads,
                             const ChunkFn& body) {
-  Stats& st = GlobalStats();
+  Counters& st = PoolCounters();
   st.invocations.Increment();
   if (n == 0) return;
   if (num_threads == 0) num_threads = DefaultThreadCount();
@@ -303,7 +301,7 @@ void ThreadPool::WorkOn(JobState& job, size_t slot) {
   }
 
   if (local_steals != 0) {
-    GlobalStats().steals.Increment(local_steals);
+    PoolCounters().steals.Increment(local_steals);
   }
 }
 

@@ -5,12 +5,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/mutex.h"
-#include "util/parallel/stats.h"
 #include "util/thread_annotations.h"
 
 namespace autotest::util::parallel {
@@ -84,6 +84,10 @@ class ThreadPool {
 
 /// Default participant count: hardware_concurrency, at least 1.
 size_t DefaultThreadCount();
+
+/// One-line dump of the pool's `parallel.*` registry counters, for benches
+/// and `--parallel-stats`.
+std::string FormatStats();
 
 /// Runs fn(i) for every i in [0, n) exactly once; blocks until done.
 /// fn must be safe to call concurrently for distinct indices; write outputs

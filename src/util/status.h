@@ -143,9 +143,8 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Collapses to the legacy `optional` shape, discarding the diagnostic.
-  /// Exists for the thin compatibility shims; new code should consume the
-  /// Status instead.
+  /// Collapses to an `optional`, discarding the diagnostic; prefer
+  /// consuming the Status.
   std::optional<T> ToOptional() && {
     return ok() ? std::optional<T>(std::move(*value_)) : std::nullopt;
   }

@@ -1,11 +1,12 @@
-// Reference dense tableau simplex, kept as SolveLpDense so the
-// differential harness can prove the sparse revised simplex (SolveLp)
-// equivalent. See simplex.h for the deprecation path.
+// Reference dense tableau simplex: the test oracle the differential
+// harness proves the sparse revised simplex (SolveLp) equivalent against.
+
+#include "dense_tableau.h"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "lp/simplex.h"
 #include "util/check.h"
 
 namespace autotest::lp {

@@ -1,8 +1,8 @@
-// Self-test for tools/at_lint: every rule R1-R9 must fire on its
-// violation fixture at exactly the expected location, and the clean
+// Self-test for tools/at_lint: every rule (R1-R4, R6-R9) must fire on
+// its violation fixture at exactly the expected location, and the clean
 // fixture (which is packed with near-misses — suppressed R2, consumed
-// Try* results, annotated declarations, guarded members, post-scope
-// I/O, an acyclic lock diamond) must pass. The --audit-suppressions
+// Try* results, guarded members, post-scope I/O, an acyclic lock
+// diamond) must pass. The --audit-suppressions
 // pass must flag exactly the disable tags that cover nothing.
 //
 // The binary path and fixture directory come in via compile definitions
@@ -135,20 +135,6 @@ TEST(LintTest, R4FiresOnAtCheckInUntrustedInputFile) {
   EXPECT_EQ(v.line, 8u);
 }
 
-TEST(LintTest, R5FiresOnMissingNodiscard) {
-  LintRun run = RunLint(Fixture("bad_r5"));
-  EXPECT_EQ(run.exit_code, 1);
-  ASSERT_EQ(run.lines.size(), 2u);
-  ParsedViolation status_decl = Parse(run.lines[0]);
-  EXPECT_EQ(status_decl.rule, "R5");
-  EXPECT_TRUE(EndsWith(status_decl.file, "bad.h")) << status_decl.file;
-  EXPECT_EQ(status_decl.line, 14u);
-  ParsedViolation result_decl = Parse(run.lines[1]);
-  EXPECT_EQ(result_decl.rule, "R5");
-  EXPECT_EQ(result_decl.line, 16u);
-  EXPECT_NE(run.lines[1].find("Result<T>"), std::string::npos);
-}
-
 TEST(LintTest, R6FiresOnUnknownMissingAndDeadMetrics) {
   LintRun run = RunLint(Fixture("bad_r6"));
   EXPECT_EQ(run.exit_code, 1);
@@ -262,9 +248,9 @@ TEST(LintTest, WithoutAuditFlagStaleTagsAreSilent) {
 TEST(LintTest, AllFixturesTogetherReportEveryRuleOnce) {
   LintRun run = RunLint(Fixture("bad_r1") + " " + Fixture("bad_r2") + " " +
                         Fixture("bad_r3") + " " + Fixture("bad_r4") + " " +
-                        Fixture("bad_r5") + " " + Fixture("bad_r6") + " " +
-                        Fixture("bad_r7") + " " + Fixture("bad_r8") + " " +
-                        Fixture("bad_r9") + " " + Fixture("bad_r1_wrap"));
+                        Fixture("bad_r6") + " " + Fixture("bad_r7") + " " +
+                        Fixture("bad_r8") + " " + Fixture("bad_r9") + " " +
+                        Fixture("bad_r1_wrap"));
   EXPECT_EQ(run.exit_code, 1);
   std::vector<std::string> rules;
   for (const auto& line : run.lines) rules.push_back(Parse(line).rule);
@@ -272,7 +258,6 @@ TEST(LintTest, AllFixturesTogetherReportEveryRuleOnce) {
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R2"), 1);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R3"), 2);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R4"), 1);
-  EXPECT_EQ(std::count(rules.begin(), rules.end(), "R5"), 2);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R6"), 3);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R7"), 2);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R8"), 1);
@@ -290,7 +275,7 @@ TEST(LintTest, ListRulesNamesEveryRule) {
   std::string all;
   for (const auto& line : run.lines) all += line + "\n";
   for (const char* rule :
-       {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"}) {
+       {"R1", "R2", "R3", "R4", "R6", "R7", "R8", "R9"}) {
     EXPECT_NE(all.find(rule), std::string::npos) << rule;
   }
 }

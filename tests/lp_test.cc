@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dense_tableau.h"
 #include "lp/incremental.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
@@ -236,8 +237,8 @@ TEST(SimplexTest, NoConstraintsBoundedVarsIsOptimal) {
 }
 
 TEST(SimplexTest, DenseSolverStillAvailableAsReference) {
-  // SolveLpDense is the retained tableau implementation; spot-check that
-  // it matches the revised simplex on a small mixed program.
+  // SolveLpDense is the test-tree tableau oracle; spot-check that it
+  // matches the revised simplex on a small mixed program.
   LinearProgram lp;
   size_t x = lp.AddVariable(3.0, LinearProgram::kInfinity);
   size_t y = lp.AddVariable(2.0, 5.0);
@@ -260,7 +261,8 @@ TEST(SimplexTest, DenseSolverStillAvailableAsReference) {
 
 TEST(IncrementalSolverTest, WarmSolveAfterColumnAddition) {
   // Rows fixed up front; columns stream in. The second Solve must reuse
-  // the optimal basis (warm) and still match a cold solve of the mirror.
+  // the optimal basis (warm) and still match a cold solve of the same
+  // program, built here independently.
   LinearProgram base;
   Constraint budget;
   budget.type = ConstraintType::kLessEq;
@@ -279,7 +281,12 @@ TEST(IncrementalSolverTest, WarmSolveAfterColumnAddition) {
   ASSERT_EQ(second.status, SolveStatus::kOptimal);
   EXPECT_TRUE(inc.last_solve_was_warm());
   EXPECT_NEAR(second.objective, 7.0, 1e-9);
-  Solution cold = SolveLp(inc.program());
+  LinearProgram full = base;
+  for (double objective : {1.0, 2.0, 5.0}) {
+    size_t var = full.AddVariable(objective, 1.0);
+    full.constraints[0].terms.push_back({var, 1.0});
+  }
+  Solution cold = SolveLp(full);
   EXPECT_NEAR(cold.objective, second.objective, 1e-9);
 }
 

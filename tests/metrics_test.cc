@@ -1,8 +1,7 @@
 // Tests for the uniform metrics registry (DESIGN.md §4f): registration
 // idempotence and kind safety, name validation, deterministic snapshot
 // ordering, text/JSON serialization (including escaping and non-finite
-// handling), lock-free concurrent increments, histogram bucketing, and
-// equivalence of the parallel::Stats shims with the registry values.
+// handling), lock-free concurrent increments, and histogram bucketing.
 
 #include "util/metrics.h"
 
@@ -14,8 +13,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "util/parallel/thread_pool.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -246,39 +243,6 @@ TEST(RegistryTest, GaugeAddIsAtomic) {
   }
   for (auto& th : threads) th.join();
   EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kThreads) * kPerThread);
-}
-
-// The parallel::Stats shims must report exactly what the registry holds:
-// they are the same storage.
-TEST(ShimTest, ParallelStatsMatchRegistry) {
-  namespace par = util::parallel;
-  par::ResetStats();
-  std::vector<std::atomic<uint32_t>> hits(512);
-  for (auto& hit : hits) hit.store(0);
-  par::Options opt;
-  opt.num_threads = 4;
-  par::ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); },
-                   opt);
-
-  par::StatsSnapshot snap = par::SnapshotStats();
-  EXPECT_GE(snap.invocations, 1u);
-  EXPECT_GE(snap.items, hits.size());
-  Registry& reg = Registry::Global();
-  EXPECT_EQ(reg.GetCounter(kMParallelInvocations).value(), snap.invocations);
-  EXPECT_EQ(reg.GetCounter(kMParallelSerialInvocations).value(),
-            snap.serial_invocations);
-  EXPECT_EQ(reg.GetCounter(kMParallelItems).value(), snap.items);
-  EXPECT_EQ(reg.GetCounter(kMParallelChunks).value(), snap.chunks);
-  EXPECT_EQ(reg.GetCounter(kMParallelSteals).value(), snap.steals);
-  EXPECT_EQ(reg.GetCounter(kMParallelParticipants).value(),
-            snap.participants);
-  EXPECT_EQ(reg.GetCounter(kMParallelSlotsOffered).value(),
-            snap.slots_offered);
-
-  // FormatStats renders the same snapshot.
-  std::string line = par::FormatStats();
-  EXPECT_NE(line.find(std::to_string(snap.items)), std::string::npos)
-      << line;
 }
 
 TEST(RegistryTest, ResetValuesForTestKeepsRegistrations) {

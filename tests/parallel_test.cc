@@ -11,13 +11,14 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/hashing.h"
+#include "util/metrics.h"
 #include "util/parallel/thread_pool.h"
-#include "util/thread_pool.h"
 
 namespace autotest::util::parallel {
 namespace {
@@ -243,38 +244,31 @@ TEST(ParallelReduceTest, NonCommutativeMergeKeepsIndexOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats and shim.
+// The pool's parallel.* registry counters.
 // ---------------------------------------------------------------------------
 
+uint64_t CounterValue(std::string_view name) {
+  return metrics::Registry::Global().GetCounter(name).value();
+}
+
 TEST(ParallelStatsTest, CountersAdvance) {
-  ResetStats();
+  metrics::Registry::Global().ResetValuesForTest();
   ParallelFor(1000, [](size_t) {}, Threads(4, /*grain=*/10));
-  StatsSnapshot s = SnapshotStats();
-  EXPECT_EQ(s.invocations, 1u);
-  EXPECT_EQ(s.items, 1000u);
-  EXPECT_EQ(s.chunks, 100u);
-  EXPECT_LE(s.participants, s.slots_offered);
-  EXPECT_GE(s.utilization(), 0.0);
-  EXPECT_LE(s.utilization(), 1.0);
+  EXPECT_EQ(CounterValue(metrics::kMParallelInvocations), 1u);
+  EXPECT_EQ(CounterValue(metrics::kMParallelItems), 1000u);
+  EXPECT_EQ(CounterValue(metrics::kMParallelChunks), 100u);
+  EXPECT_LE(CounterValue(metrics::kMParallelParticipants),
+            CounterValue(metrics::kMParallelSlotsOffered));
   std::string text = FormatStats();
   EXPECT_NE(text.find("invocations=1"), std::string::npos);
   EXPECT_NE(text.find("items=1000"), std::string::npos);
 }
 
 TEST(ParallelStatsTest, SerialFallbackCounted) {
-  ResetStats();
+  metrics::Registry::Global().ResetValuesForTest();
   ParallelFor(50, [](size_t) {}, Threads(1));
-  StatsSnapshot s = SnapshotStats();
-  EXPECT_EQ(s.serial_invocations, 1u);
-  EXPECT_EQ(s.items, 50u);
-}
-
-TEST(LegacyShimTest, ForwardsToPool) {
-  std::vector<std::atomic<uint32_t>> hits(101);
-  for (auto& h : hits) h.store(0);
-  util::ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); }, 8);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1u);
-  EXPECT_GE(util::DefaultThreadCount(), 1u);
+  EXPECT_EQ(CounterValue(metrics::kMParallelSerialInvocations), 1u);
+  EXPECT_EQ(CounterValue(metrics::kMParallelItems), 50u);
 }
 
 }  // namespace

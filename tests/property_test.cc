@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -16,11 +17,11 @@
 #include "datagen/gazetteer.h"
 #include "eval/metrics.h"
 #include "pattern/pattern.h"
+#include "reference_trainer.h"
 #include "stats/statistics.h"
 #include "typedet/eval_functions.h"
 #include "typedet/validators.h"
 #include "util/failpoint.h"
-#include "util/hashing.h"
 #include "util/rng.h"
 
 namespace autotest {
@@ -289,31 +290,36 @@ TEST(TrainingDeterminismTest, IdenticalModelAcrossThreadCounts) {
 
 // An eval function that deliberately has NO BatchDistance override, so the
 // trainer's columnar path must route it through the base-class fallback
-// loop (scalar Distance per value). Deterministic and cheap.
+// loop (scalar Distance per value). Deterministic and cheap: the share of
+// digit characters separates numeric-looking values from words, so the
+// family trains rules of its own.
 class ScalarOnlyEval : public typedet::DomainEvalFunction {
  public:
   ScalarOnlyEval()
-      : DomainEvalFunction("test:scalar-only", typedet::Family::kHash) {}
+      : DomainEvalFunction("test:scalar-only", typedet::Family::kFunction) {}
 
   double Distance(const std::string& value) const override {
-    return util::HashToUnitDouble(util::Fnv64Seeded(value, 0x5ca1a4));
+    if (value.empty()) return 0.0;
+    size_t digits = static_cast<size_t>(
+        std::count_if(value.begin(), value.end(),
+                      [](unsigned char ch) { return std::isdigit(ch); }));
+    return static_cast<double>(digits) / static_cast<double>(value.size());
   }
   double min_distance() const override { return 0.0; }
   double max_distance() const override { return 1.0; }
   std::string Describe() const override { return "scalar-only test eval"; }
 };
 
-// The columnar trainer path (use_columnar, DESIGN.md §4k) must produce a
-// model byte-identical to the legacy per-column scalar reference: distinct
-// counts weight the same threshold grids, BatchDistance overrides are
-// bit-identical to Distance, and detection order is preserved. Swept over
-// thread counts and block sizes (including a block size of 1, which
-// stresses the (pool_id, offset) block-memo keying), with a registered
-// eval function that lacks a BatchDistance override so the base-class
-// fallback is exercised alongside the vectorized families.
+// The columnar trainer (DESIGN.md §4k) must produce a model byte-identical
+// to the scalar reference trainer in tests/reference_trainer.cc, which is
+// written from the paper's definitions: distinct counts weight the same
+// threshold grids, BatchDistance overrides are bit-identical to Distance,
+// and detection order is preserved. Swept over thread counts, with a
+// registered eval function that lacks a BatchDistance override so the
+// base-class fallback is exercised alongside the vectorized families.
 TEST(TrainingDeterminismTest, ColumnarPathMatchesScalarReference) {
   auto corpus =
-      datagen::GenerateCorpus(datagen::RelationalTablesProfile(150));
+      datagen::GenerateCorpus(datagen::RelationalTablesProfile(800));
   typedet::EvalFunctionSetOptions eval_opt;
   eval_opt.embedding_centroids_per_model = 15;
   auto evals = typedet::EvalFunctionSet::Build(corpus, eval_opt);
@@ -321,20 +327,19 @@ TEST(TrainingDeterminismTest, ColumnarPathMatchesScalarReference) {
 
   core::TrainOptions topt;
   topt.synthetic_count = 200;
-  topt.use_columnar = false;
-  core::TrainedModel reference = core::TrainAutoTest(corpus, evals, topt);
-  ASSERT_GT(reference.constraints.size(), 0u);
+  core::TrainedModel reference =
+      core::ReferenceTrainAutoTest(corpus, evals, topt);
+  ASSERT_GE(reference.constraints.size(), 1000u);
+  const size_t scalar_only = evals.size() - 1;
+  EXPECT_TRUE(std::any_of(
+      reference.constraints.begin(), reference.constraints.end(),
+      [&](const core::Sdc& r) { return r.eval_index == scalar_only; }));
 
-  topt.use_columnar = true;
   for (int threads : {1, 2, 8}) {
-    for (size_t batch : {size_t{1}, size_t{37}, size_t{256}}) {
-      topt.num_threads = threads;
-      topt.eval_batch_size = batch;
-      core::TrainedModel columnar = core::TrainAutoTest(corpus, evals, topt);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      ExpectSameModel(reference, columnar);
-    }
+    topt.num_threads = threads;
+    core::TrainedModel columnar = core::TrainAutoTest(corpus, evals, topt);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameModel(reference, columnar);
   }
 }
 

@@ -49,8 +49,8 @@ TEST_F(SerializationTest, RoundTripPreservesRules) {
   ASSERT_FALSE(model_->constraints.empty());
   std::string text = SerializeRules(model_->constraints);
   size_t unresolved = 123;
-  auto loaded = DeserializeRules(text, *evals_, &unresolved);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryDeserializeRules(text, *evals_, &unresolved);
+  ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(unresolved, 0u);
   ASSERT_EQ(loaded->size(), model_->constraints.size());
   for (size_t i = 0; i < loaded->size(); ++i) {
@@ -70,9 +70,9 @@ TEST_F(SerializationTest, RoundTripPreservesRules) {
 
 TEST_F(SerializationTest, FileRoundTrip) {
   std::string path = "/tmp/autotest_rules_test.sdc";
-  ASSERT_TRUE(SaveRulesToFile(model_->constraints, path));
-  auto loaded = LoadRulesFromFile(path, *evals_);
-  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(TrySaveRulesToFile(model_->constraints, path).ok());
+  auto loaded = TryLoadRulesFromFile(path, *evals_);
+  ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), model_->constraints.size());
 }
 
@@ -81,19 +81,20 @@ TEST_F(SerializationTest, UnknownIdsSkippedAndCounted) {
   text += "rule\tfun:does_not_exist\t0\t0.5\t0.9\t0.9\t0.001\t1\t2\t3\t4\t1"
           "\t0.01\n";
   size_t unresolved = 0;
-  auto loaded = DeserializeRules(text, *evals_, &unresolved);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryDeserializeRules(text, *evals_, &unresolved);
+  ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(unresolved, 1u);
   EXPECT_EQ(loaded->size(), model_->constraints.size());
 }
 
 TEST_F(SerializationTest, MalformedInputsRejected) {
-  EXPECT_FALSE(DeserializeRules("", *evals_).has_value());  // no header
-  EXPECT_FALSE(DeserializeRules("# autotest-sdc v1\nrule\tx\t1\n", *evals_)
-                   .has_value());  // wrong field count
+  EXPECT_FALSE(TryDeserializeRules("", *evals_).ok());  // no header
   EXPECT_FALSE(
-      DeserializeRules("# autotest-sdc v1\nbogus line\n", *evals_)
-          .has_value());
+      TryDeserializeRules("# autotest-sdc v1\nrule\tx\t1\n", *evals_)
+          .ok());  // wrong field count
+  EXPECT_FALSE(
+      TryDeserializeRules("# autotest-sdc v1\nbogus line\n", *evals_)
+          .ok());
 }
 
 // --- structured diagnostics on the Try* surface ---
@@ -278,8 +279,8 @@ TEST_F(SerializationDeathTest, UnwrappingErrorResultAborts) {
 }
 
 TEST_F(SerializationTest, EmptyRuleSetRoundTrips) {
-  auto loaded = DeserializeRules(SerializeRules({}), *evals_);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryDeserializeRules(SerializeRules({}), *evals_);
+  ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
 }
 
@@ -292,8 +293,8 @@ TEST_F(SerializationTest, FindEvalById) {
 
 TEST_F(SerializationTest, LoadedRulesPredictIdentically) {
   std::string text = SerializeRules(model_->constraints);
-  auto loaded = DeserializeRules(text, *evals_);
-  ASSERT_TRUE(loaded.has_value());
+  auto loaded = TryDeserializeRules(text, *evals_);
+  ASSERT_TRUE(loaded.ok());
   SdcPredictor original(model_->constraints);
   SdcPredictor reloaded(*loaded);
   table::Column col;

@@ -311,9 +311,10 @@ TEST(EvalFunctionSetTest, RandomHashInjection) {
 // ---------------------------------------------------------------------------
 // BatchDistance parity: for every family in a full eval set, the batched
 // override (both without a pool identity and keyed on a ColumnStore pool)
-// must be bit-identical to the scalar Distance virtual. This is the
-// contract the trainer's columnar path and the zoo/embedding block memos
-// rely on (DESIGN.md §4k).
+// must be bit-identical to the scalar Distance virtual at every block
+// size. This is the contract the trainer's columnar pass and the
+// zoo/embedding block memos rely on (DESIGN.md §4k). Block sizes 1 and 37
+// stress the (pool_id, offset) memo keying; 256 is the trainer's block.
 // ---------------------------------------------------------------------------
 
 TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
@@ -325,34 +326,38 @@ TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
   opt.num_random_hash = 2;
   auto set = EvalFunctionSet::Build(corpus, opt);
 
-  table::ColumnStore store = table::ColumnStore::FromCorpus(corpus);
-  const std::span<const std::string_view> pool = store.pool();
-  ASSERT_GT(pool.size(), 0u);
-  // Cap the probe set: parity over a prefix is as binding as the full pool
-  // and keeps the sweep over every eval function fast.
-  const size_t n = std::min<size_t>(pool.size(), 400);
+  for (size_t block : {size_t{1}, size_t{37}, size_t{256}}) {
+    SCOPED_TRACE("block=" + std::to_string(block));
+    // A pool is always cut into the same blocks, so each block size gets
+    // a fresh store and with it a fresh pool id.
+    table::ColumnStore store = table::ColumnStore::FromCorpus(corpus);
+    const std::span<const std::string_view> pool = store.pool();
+    ASSERT_GT(pool.size(), 0u);
+    // Cap the probe set: parity over a prefix is as binding as the full
+    // pool and keeps the sweep over every eval function fast.
+    const size_t n = std::min<size_t>(pool.size(), 400);
 
-  bool saw_family[5] = {false, false, false, false, false};
-  std::vector<double> keyless(n);
-  std::vector<double> keyed(n);
-  const size_t block = 64;
-  for (const auto& f : set.functions()) {
-    saw_family[static_cast<size_t>(f->family())] = true;
-    for (size_t off = 0; off < n; off += block) {
-      size_t len = std::min(block, n - off);
-      f->BatchDistance(pool.subspan(off, len),
-                       std::span<double>(keyless).subspan(off, len));
-      f->BatchDistance(pool.subspan(off, len),
-                       std::span<double>(keyed).subspan(off, len),
-                       store.pool_id(), off);
+    bool saw_family[5] = {false, false, false, false, false};
+    std::vector<double> keyless(n);
+    std::vector<double> keyed(n);
+    for (const auto& f : set.functions()) {
+      saw_family[static_cast<size_t>(f->family())] = true;
+      for (size_t off = 0; off < n; off += block) {
+        size_t len = std::min(block, n - off);
+        f->BatchDistance(pool.subspan(off, len),
+                         std::span<double>(keyless).subspan(off, len));
+        f->BatchDistance(pool.subspan(off, len),
+                         std::span<double>(keyed).subspan(off, len),
+                         store.pool_id(), off);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        double scalar = f->Distance(std::string(pool[i]));
+        ASSERT_EQ(keyless[i], scalar) << f->id() << " value " << pool[i];
+        ASSERT_EQ(keyed[i], scalar) << f->id() << " value " << pool[i];
+      }
     }
-    for (size_t i = 0; i < n; ++i) {
-      double scalar = f->Distance(std::string(pool[i]));
-      ASSERT_EQ(keyless[i], scalar) << f->id() << " value " << pool[i];
-      ASSERT_EQ(keyed[i], scalar) << f->id() << " value " << pool[i];
-    }
+    for (bool seen : saw_family) EXPECT_TRUE(seen);
   }
-  for (bool seen : saw_family) EXPECT_TRUE(seen);
 }
 
 TEST(SharedZooTest, ProcessSingletonsScoreLikeFresh) {

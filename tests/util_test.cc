@@ -10,21 +10,33 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
+#include "util/parallel/thread_pool.h"
 
-// Compile-fail harness for the [[nodiscard]] contract. The ctest entry
-// `nodiscard_compile_fail` re-compiles this file with -fsyntax-only and
-// AT_NODISCARD_COMPILE_FAIL defined, and is registered WILL_FAIL: the
-// build MUST reject a discarded TryLoadRulesFromFile(...) result under
-// -Werror=unused-result. The twin entry `nodiscard_compile_fail_control`
-// compiles without the define to prove the harness itself is well-formed.
+// Compile-fail harness for the [[nodiscard]] contract. Each
+// `nodiscard_compile_fail*` ctest entry re-compiles this file with
+// -fsyntax-only and AT_NODISCARD_COMPILE_FAIL set to one discard below,
+// and is registered WILL_FAIL: under -Werror=unused-result the build MUST
+// reject (1) a discarded TryLoadRulesFromFile(...) result, and discarded
+// values of functions declared with no attribute of their own returning
+// (2) Status or (3) Result<T>. Cases 2 and 3 prove the class-level
+// [[nodiscard]] on Status and Result<T> covers every declaration. The twin
+// entry `nodiscard_compile_fail_control` compiles without the define to
+// prove the harness itself is well-formed.
 #ifdef AT_NODISCARD_COMPILE_FAIL
 #include "core/serialization.h"
 namespace autotest::core {
-void DiscardsNodiscardResult(const typedet::EvalFunctionSet& evals) {
+#if AT_NODISCARD_COMPILE_FAIL == 1
+void DiscardsTryResult(const typedet::EvalFunctionSet& evals) {
   // at_lint: disable(R1) deliberate discard; this must fail to compile
   TryLoadRulesFromFile("rules.sdc", evals);
 }
+#elif AT_NODISCARD_COMPILE_FAIL == 2
+util::Status PlainStatus();
+void DiscardsPlainStatus() { PlainStatus(); }
+#elif AT_NODISCARD_COMPILE_FAIL == 3
+util::Result<int> PlainResult();
+void DiscardsPlainResult() { PlainResult(); }
+#endif
 }  // namespace autotest::core
 #endif  // AT_NODISCARD_COMPILE_FAIL
 
@@ -417,18 +429,26 @@ TEST_F(FailpointTest, ZeroProbabilityNeverFires) {
   for (int i = 0; i < 32; ++i) EXPECT_FALSE(FailpointFires(kFpCsvParse));
 }
 
+parallel::Options Threads(size_t n) {
+  parallel::Options opt;
+  opt.num_threads = n;
+  return opt;
+}
+
 TEST(ThreadPoolTest, RunsAllIndices) {
   std::vector<int> hits(1000, 0);
-  ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; }, 8);
+  parallel::ParallelFor(hits.size(), [&](size_t i) { hits[i] = 1; },
+                        Threads(8));
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, EmptyAndSingle) {
   std::atomic<int> count{0};
-  ParallelFor(0, [&](size_t) { count++; });
+  parallel::ParallelFor(0, [&](size_t) { count++; });
   EXPECT_EQ(count.load(), 0);
-  ParallelFor(1, [&](size_t) { count++; }, 4);
+  parallel::ParallelFor(1, [&](size_t) { count++; }, Threads(4));
   EXPECT_EQ(count.load(), 1);
+  EXPECT_GE(parallel::DefaultThreadCount(), 1u);
 }
 
 }  // namespace

@@ -615,138 +615,6 @@ void CheckR4(const SourceFile& file, const Suppressions& supp,
 }
 
 // ---------------------------------------------------------------------------
-// Rule R5 — Status/Result<T> declarations missing [[nodiscard]].
-// ---------------------------------------------------------------------------
-
-bool IsHeaderPath(const std::string& normalized_path) {
-  return normalized_path.size() >= 2 &&
-         (normalized_path.rfind(".h") == normalized_path.size() - 2 ||
-          normalized_path.rfind(".hpp") == normalized_path.size() - 4);
-}
-
-/// True if the prefix of a line before a candidate return type consists
-/// only of whitespace, attributes and declaration specifiers.
-bool PrefixIsDeclSpecifiers(std::string_view prefix, bool* saw_nodiscard) {
-  static constexpr std::string_view kSpecifiers[] = {
-      "static", "virtual", "inline", "constexpr", "friend", "explicit",
-      "const"};
-  size_t i = 0;
-  while (i < prefix.size()) {
-    char c = prefix[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '[' && i + 1 < prefix.size() && prefix[i + 1] == '[') {
-      size_t close = prefix.find("]]", i);
-      if (close == std::string_view::npos) return false;
-      if (prefix.substr(i, close - i).find("nodiscard") !=
-          std::string_view::npos) {
-        *saw_nodiscard = true;
-      }
-      i = close + 2;
-      continue;
-    }
-    if (IsIdentChar(c)) {
-      size_t start = i;
-      while (i < prefix.size() && IsIdentChar(prefix[i])) ++i;
-      std::string_view word = prefix.substr(start, i - start);
-      bool known = false;
-      for (std::string_view s : kSpecifiers) {
-        if (word == s) known = true;
-      }
-      if (!known) return false;
-      continue;
-    }
-    return false;  // '=', 'return ... ;', template brackets, etc.
-  }
-  return true;
-}
-
-void CheckR5(const SourceFile& file, const Suppressions& supp,
-             std::vector<Violation>* out) {
-  if (!IsHeaderPath(NormalizedPath(file.path))) return;
-  for (size_t li = 0; li < file.code.size(); ++li) {
-    const std::string& line = file.code[li];
-    for (std::string_view type : {std::string_view("Status"),
-                                  std::string_view("Result")}) {
-      size_t pos = 0;
-      while ((pos = line.find(type, pos)) != std::string::npos) {
-        size_t match = pos;
-        pos += type.size();
-        // Token boundaries: reject StatusCode / SolveStatus etc.
-        if (pos < line.size() && IsIdentChar(line[pos])) continue;
-        if (match > 0 && IsIdentChar(line[match - 1])) continue;
-        size_t after = pos;
-        if (type == "Result") {
-          if (after >= line.size() || line[after] != '<') continue;
-          int depth = 0;
-          while (after < line.size()) {
-            if (line[after] == '<') ++depth;
-            if (line[after] == '>' && --depth == 0) {
-              ++after;
-              break;
-            }
-            ++after;
-          }
-          if (depth != 0) continue;  // template args continue past the line
-        }
-        // Extend left over a namespace qualification (util::Status ...).
-        size_t type_start = match;
-        while (type_start >= 2 && line[type_start - 1] == ':' &&
-               line[type_start - 2] == ':') {
-          size_t q = type_start - 2;
-          while (q > 0 && IsIdentChar(line[q - 1])) --q;
-          type_start = q;
-        }
-        // Reference / pointer returns don't hold the diagnostic by value.
-        size_t cursor = after;
-        while (cursor < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[cursor]))) {
-          ++cursor;
-        }
-        if (cursor < line.size() &&
-            (line[cursor] == '&' || line[cursor] == '*')) {
-          continue;
-        }
-        // Function name directly after the type...
-        size_t name_start = cursor;
-        while (cursor < line.size() && IsIdentChar(line[cursor])) ++cursor;
-        if (cursor == name_start) continue;  // constructor or cast
-        while (cursor < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[cursor]))) {
-          ++cursor;
-        }
-        // ...followed by its parameter list: this is a declaration.
-        if (cursor >= line.size() || line[cursor] != '(') continue;
-        bool saw_nodiscard = false;
-        if (!PrefixIsDeclSpecifiers(
-                std::string_view(line).substr(0, type_start),
-                &saw_nodiscard)) {
-          continue;
-        }
-        if (!saw_nodiscard && li > 0) {
-          // The attribute may sit at the end of the previous line.
-          std::string_view prev = TrimView(file.code[li - 1]);
-          if (prev.size() >= 2 && prev.substr(prev.size() - 2) == "]]" &&
-              prev.find("nodiscard") != std::string_view::npos) {
-            saw_nodiscard = true;
-          }
-        }
-        if (!saw_nodiscard && !supp.Covers(li + 1, "R5")) {
-          out->push_back(
-              {file.path, li + 1, "R5",
-               "declaration returning " + std::string(type) +
-                   (type == "Result" ? "<T>" : "") +
-                   " by value is missing [[nodiscard]] (the error layer's "
-                   "diagnostics must not be silently droppable)"});
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule R6 — metric names vs. the catalogue in src/util/metrics.h.
 // ---------------------------------------------------------------------------
 
@@ -1399,7 +1267,6 @@ std::vector<Violation> LintFiles(const std::vector<SourceFile>& files,
     CheckR1(files[i], supps[i], &out);
     CheckR2(files[i], supps[i], &out);
     CheckR4(files[i], supps[i], &out);
-    CheckR5(files[i], supps[i], &out);
   }
   for (size_t i = 0; i < models.size(); ++i) {
     CheckR7(*conc_files[i], models[i], members, *conc_supps[i], &out);

@@ -23,8 +23,8 @@
 //       src/util/failpoint.h — and registered names no code ever uses
 //   R4  AT_CHECK on untrusted-input paths already migrated to Status
 //       (CSV parsing, rule serialization, recipe loading)
-//   R5  a Status/Result<T>-returning declaration in a header missing
-//       [[nodiscard]]
+//   (R5 is retired: Status and Result<T> are class-level [[nodiscard]],
+//   so -Werror=unused-result already rejects every discarded value.)
 //   R6  metric-name literals in src/ unknown to the kAllMetrics catalogue
 //       in src/util/metrics.h — plus catalogue constants missing from the
 //       kAllMetrics array or registered but never used

@@ -32,7 +32,6 @@ constexpr const char* kRuleCatalogue =
     "    src/util/failpoint.h, or a registered failpoint no code uses\n"
     "R4  AT_CHECK on an untrusted-input path (CSV, rule serialization,\n"
     "    recipe loading) that was migrated to Status\n"
-    "R5  Status/Result<T>-returning declaration missing [[nodiscard]]\n"
     "R6  metric-name literal in src/ absent from the kAllMetrics\n"
     "    catalogue in src/util/metrics.h, a catalogue constant missing\n"
     "    from the kAllMetrics array, or a registered metric no code uses\n"
