@@ -10,7 +10,6 @@
 #include "datagen/column_gen.h"
 #include "datagen/gazetteer.h"
 #include "embed/embedding.h"
-#include "lp/incremental.h"
 #include "lp/simplex.h"
 #include "pattern/pattern.h"
 #include "stats/statistics.h"
@@ -150,61 +149,6 @@ BENCHMARK(BM_SimplexMaxCoverage)->Apply([](benchmark::internal::Benchmark* b) {
   b->Arg(50)->Arg(200)->Arg(1000);
   if (std::getenv("AT_BENCH_FULL") != nullptr) b->Arg(10000);
 });
-
-void BM_IncrementalReselect(benchmark::State& state) {
-  // Warm incremental re-selection: a solved CSS-LP-shaped base gains a
-  // small batch of candidate columns and re-prices from the previous
-  // optimal basis. Measures the cost of one warm wave (16 column
-  // additions + ReOptimize) against a 1000-rule base.
-  // The base is built and cold-solved once, outside the timing loop; each
-  // measured iteration then appends a fresh wave and re-solves warm, so the
-  // LP grows slightly across iterations the way a real CSS->FSS candidate
-  // stream does.
-  constexpr size_t kBase = 1000;
-  constexpr size_t kRows = 2 * kBase;
-  constexpr size_t kWave = 16;
-  util::Rng rng(5);
-  lp::LinearProgram base;
-  for (size_t j = 0; j < kRows; ++j) {
-    lp::Constraint c;
-    c.rhs = 0.0;
-    base.AddConstraint(std::move(c));
-  }
-  lp::Constraint size_c;
-  size_c.rhs = static_cast<double>(kBase) / 4.0;
-  base.AddConstraint(std::move(size_c));
-  lp::IncrementalSolver inc(base);
-  for (size_t j = 0; j < kRows; ++j) {
-    inc.AddVariable(1.0, 1.0, {{j, 1.0}});  // y_j
-  }
-  for (size_t i = 0; i < kBase; ++i) {
-    std::vector<std::pair<size_t, double>> terms;
-    for (int k = 0; k < 6; ++k) {
-      terms.push_back(
-          {static_cast<size_t>(rng.UniformInt(
-               0, static_cast<int64_t>(kRows) - 1)),
-           -1.0});
-    }
-    terms.push_back({kRows, 1.0});
-    inc.AddVariable(0.0, 1.0, terms);
-  }
-  benchmark::DoNotOptimize(inc.Solve());
-  for (auto _ : state) {
-    for (size_t i = 0; i < kWave; ++i) {
-      std::vector<std::pair<size_t, double>> terms;
-      for (int k = 0; k < 6; ++k) {
-        terms.push_back(
-            {static_cast<size_t>(rng.UniformInt(
-                 0, static_cast<int64_t>(kRows) - 1)),
-             -1.0});
-      }
-      terms.push_back({kRows, 1.0});
-      inc.AddVariable(0.0, 1.0, terms);
-    }
-    benchmark::DoNotOptimize(inc.Solve());
-  }
-}
-BENCHMARK(BM_IncrementalReselect);
 
 }  // namespace
 

@@ -44,10 +44,7 @@ SelectionResult AutoTest::Select(
     case Variant::kCoarseSelect:
       return CoarseSelect(model_, opt);
     case Variant::kFineSelect:
-      // The paper pipeline's CSS -> FSS rounds share one selector so the
-      // fine round narrows the coarse round's eligibility state in place;
-      // the result is identical to FineSelect(model_, opt).
-      return CoarseThenFineSelect(model_, opt);
+      return FineSelect(model_, opt);
   }
   AT_CHECK(false);
   return SelectionResult{};

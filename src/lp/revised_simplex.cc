@@ -12,7 +12,7 @@ namespace {
 
 constexpr double kEps = 1e-9;
 // Relative scale of the anti-degeneracy rhs shift applied during the main
-// phase-2 run of a cold solve (see SolveFromScratch).
+// phase-2 run (see SolveFromScratch).
 constexpr double kDegenShift = 1e-7;
 
 uint64_t SplitMix64(uint64_t x) {
@@ -106,15 +106,20 @@ RevisedSimplex::RevisedSimplex(const LinearProgram& lp) {
   }
 }
 
-void RevisedSimplex::SetColumn(
-    size_t internal_j, const std::vector<std::pair<size_t, double>>& terms) {
-  // Sum duplicate rows and apply the row sign normalization.
+size_t RevisedSimplex::AddStructural(
+    double objective, double upper,
+    const std::vector<std::pair<size_t, double>>& terms) {
+  size_t var = num_struct_++;
+  obj_.push_back(objective);
+  upper_.push_back(upper);
+  vstate_.push_back(VState::kAtLower);
+  basis_pos_.push_back(kNoPos);
   rows_dirty_ = true;
+  // Sum duplicate rows and apply the row sign normalization.
   std::vector<std::pair<size_t, double>> sorted = terms;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  SparseColumn& col = cols_[internal_j];
-  col.Clear();
+  SparseColumn& col = cols_.emplace_back();
   size_t i = 0;
   while (i < sorted.size()) {
     size_t row = sorted[i].first;
@@ -126,35 +131,7 @@ void RevisedSimplex::SetColumn(
     }
     if (v != 0.0) col.Push(static_cast<uint32_t>(row), row_sign_[row] * v);
   }
-}
-
-size_t RevisedSimplex::AddStructural(
-    double objective, double upper,
-    const std::vector<std::pair<size_t, double>>& terms) {
-  size_t var = num_struct_++;
-  cols_.emplace_back();
-  obj_.push_back(objective);
-  upper_.push_back(upper);
-  vstate_.push_back(VState::kAtLower);
-  basis_pos_.push_back(kNoPos);
-  SetColumn(InternalOf(var), terms);
   return var;
-}
-
-void RevisedSimplex::ReplaceStructural(
-    size_t var, double objective, double upper,
-    const std::vector<std::pair<size_t, double>>& terms) {
-  AT_CHECK(var < num_struct_);
-  size_t j = InternalOf(var);
-  if (vstate_[j] != VState::kAtLower) {
-    // The basis (or the nonbasic contribution to xB) depended on the old
-    // column; force a cold restart on the next solve.
-    basis_valid_ = false;
-    factor_valid_ = false;
-  }
-  obj_[j] = objective;
-  upper_[j] = upper;
-  SetColumn(j, terms);
 }
 
 void RevisedSimplex::ResetToInitialBasis() {
@@ -163,7 +140,6 @@ void RevisedSimplex::ResetToInitialBasis() {
   std::fill(vstate_.begin(), vstate_.end(), VState::kAtLower);
   // Un-pin the artificials for a fresh phase 1.
   for (size_t j = art_begin_; j < struct_begin_; ++j) upper_[j] = kInf;
-  artificials_pinned_ = false;
 
   // Crash pass (Bixby-style, restricted to the safe case): a structural
   // singleton column can seed the basis of its row instead of the slack
@@ -207,7 +183,6 @@ void RevisedSimplex::ResetToInitialBasis() {
   AT_CHECK(art == struct_begin_);
   etas_.clear();
   factor_valid_ = false;
-  basis_valid_ = false;
 }
 
 bool RevisedSimplex::Refactorize() {
@@ -507,7 +482,6 @@ SolveStatus RevisedSimplex::SolveFromScratch() {
       if (vstate_[j] == VState::kAtUpper) vstate_[j] = VState::kAtLower;
     }
   }
-  artificials_pinned_ = true;
   // Anti-degeneracy shift: zero-rhs rows make most phase-2 pivots
   // degenerate (zero step length), so the main run works on a rhs nudged
   // by a tiny deterministic per-row amount that breaks the ties. A final
@@ -529,14 +503,6 @@ SolveStatus RevisedSimplex::SolveFromScratch() {
   if (s == SolveStatus::kOptimal) {
     s = RunSimplex(obj_, /*allow_artificial_entering=*/false);
   }
-  basis_valid_ = s == SolveStatus::kOptimal;
-  return s;
-}
-
-SolveStatus RevisedSimplex::ReOptimize() {
-  if (!basis_valid_) return SolveFromScratch();
-  SolveStatus s = RunSimplex(obj_, /*allow_artificial_entering=*/false);
-  basis_valid_ = s == SolveStatus::kOptimal;
   return s;
 }
 

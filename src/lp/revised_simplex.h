@@ -18,35 +18,21 @@ namespace autotest::lp {
 ///
 /// Internal column layout: row slacks occupy [0, m), artificials
 /// [m, m + na), and structural (external) variables grow from m + na.
-/// Structural columns may be appended (and, while nonbasic at their lower
-/// bound, replaced) between solves; the factorized basis stays valid, so
-/// `ReOptimize` re-prices from the previous optimum instead of restarting
-/// the two-phase method.
+/// Structural columns may also be appended after construction, so a
+/// caller can fix the rows first and then add the program column by
+/// column; every solve starts from the initial slack/artificial basis.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(const LinearProgram& lp);
 
-  /// Appends a structural column. `terms` holds (constraint row, coef)
-  /// pairs in external row ids; duplicates are summed. The new variable
-  /// enters nonbasic at its lower bound, so a previously optimal basis
-  /// stays primal feasible. Returns the external variable index.
+  /// Appends a structural column with bounds [0, upper]. `terms` holds
+  /// (constraint row, coef) pairs in external row ids; duplicates are
+  /// summed. Returns the external variable index.
   size_t AddStructural(double objective, double upper,
                        const std::vector<std::pair<size_t, double>>& terms);
 
-  /// Rewrites structural column `var` in place. If the variable is
-  /// currently basic or sitting at its upper bound the current basis no
-  /// longer matches the data, and the next solve restarts from scratch;
-  /// otherwise warm starts remain valid.
-  void ReplaceStructural(size_t var, double objective, double upper,
-                         const std::vector<std::pair<size_t, double>>& terms);
-
   /// Full two-phase solve from the initial slack/artificial basis.
   SolveStatus SolveFromScratch();
-
-  /// Re-optimizes from the current basis (valid only after an optimal
-  /// solve whose basis was not invalidated); falls back to
-  /// SolveFromScratch otherwise.
-  SolveStatus ReOptimize();
 
   /// Writes structural values and the phase-2 objective. Valid only after
   /// a solve that returned kOptimal.
@@ -54,9 +40,6 @@ class RevisedSimplex {
 
   size_t num_rows() const { return m_; }
   size_t num_structurals() const { return num_struct_; }
-  /// True when the last solve left an optimal basis a later ReOptimize
-  /// can warm-start from.
-  bool basis_valid() const { return basis_valid_; }
 
   /// Diagnostics, cumulative since construction: simplex iterations
   /// (pivots + bound flips) and LU refactorizations.
@@ -73,12 +56,9 @@ class RevisedSimplex {
     std::vector<std::pair<uint32_t, double>> others;  // (position, d_i)
   };
 
-  size_t InternalOf(size_t var) const { return struct_begin_ + var; }
   double Cost(const std::vector<double>& cost, size_t j) const {
     return j < cost.size() ? cost[j] : 0.0;
   }
-  void SetColumn(size_t internal_j,
-                 const std::vector<std::pair<size_t, double>>& terms);
 
   void ResetToInitialBasis();
   bool Refactorize();           // rebuild LU + xB; false if singular
@@ -112,8 +92,6 @@ class RevisedSimplex {
   std::vector<Eta> etas_;
   size_t eta_nnz_ = 0;  // stored entries across the eta file
   bool factor_valid_ = false;
-  bool basis_valid_ = false;
-  bool artificials_pinned_ = false;
   size_t total_iterations_ = 0;
   size_t total_refactorizations_ = 0;
 

@@ -143,12 +143,6 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Collapses to an `optional`, discarding the diagnostic; prefer
-  /// consuming the Status.
-  std::optional<T> ToOptional() && {
-    return ok() ? std::optional<T>(std::move(*value_)) : std::nullopt;
-  }
-
  private:
   Status status_;  // OK iff value_ holds
   std::optional<T> value_;

@@ -233,18 +233,6 @@ TEST_F(TrainedFixture, FineSelectWithDeltaOneEqualsCoarse) {
   EXPECT_EQ(coarse.selected, fine.selected);
 }
 
-TEST_F(TrainedFixture, RepairEnforcesBudgets) {
-  SelectionOptions opt;
-  opt.size_budget = 30;
-  opt.fpr_budget = 0.03;
-  opt.repair_to_budgets = true;
-  auto r = FineSelect(at_->model(), opt);
-  EXPECT_LE(r.selected.size(), opt.size_budget);
-  double fpr = 0.0;
-  for (size_t i : r.selected) fpr += at_->model().constraints[i].fpr;
-  EXPECT_LE(fpr, opt.fpr_budget + 1e-9);
-}
-
 TEST_F(TrainedFixture, FineSelectKeepsQualityWithFewRules) {
   // Fine-Select with a tight budget should still detect the easy errors.
   SelectionOptions opt;

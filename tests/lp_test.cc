@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dense_tableau.h"
-#include "lp/incremental.h"
+#include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
 
@@ -259,53 +259,45 @@ TEST(SimplexTest, DenseSolverStillAvailableAsReference) {
   EXPECT_NEAR(sparse.objective, dense.objective, 1e-9);
 }
 
-TEST(IncrementalSolverTest, WarmSolveAfterColumnAddition) {
-  // Rows fixed up front; columns stream in. The second Solve must reuse
-  // the optimal basis (warm) and still match a cold solve of the same
-  // program, built here independently.
-  LinearProgram base;
-  Constraint budget;
-  budget.type = ConstraintType::kLessEq;
-  budget.rhs = 2.0;
-  base.AddConstraint(std::move(budget));
-  IncrementalSolver inc(base);
-  inc.AddVariable(1.0, 1.0, {{0, 1.0}});
-  inc.AddVariable(2.0, 1.0, {{0, 1.0}});
-  const Solution& first = inc.Solve();
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(inc.last_solve_was_warm());
-  EXPECT_NEAR(first.objective, 3.0, 1e-9);
-
-  inc.AddVariable(5.0, 1.0, {{0, 1.0}});  // better column arrives
-  const Solution& second = inc.Solve();
-  ASSERT_EQ(second.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(inc.last_solve_was_warm());
-  EXPECT_NEAR(second.objective, 7.0, 1e-9);
-  LinearProgram full = base;
-  for (double objective : {1.0, 2.0, 5.0}) {
-    size_t var = full.AddVariable(objective, 1.0);
-    full.constraints[0].terms.push_back({var, 1.0});
-  }
-  Solution cold = SolveLp(full);
-  EXPECT_NEAR(cold.objective, second.objective, 1e-9);
-}
-
-TEST(IncrementalSolverTest, EmptyBaseThenColumns) {
-  // Zero initial columns is the selection layer's startup shape.
-  LinearProgram base;
-  Constraint row;
-  row.type = ConstraintType::kLessEq;
-  row.rhs = 1.0;
-  base.AddConstraint(std::move(row));
-  IncrementalSolver inc(base);
-  const Solution& empty = inc.Solve();
-  EXPECT_EQ(empty.status, SolveStatus::kOptimal);
+TEST(RevisedSimplexTest, RowsFirstThenColumnsViaAddStructural) {
+  // The selection's build shape: the rows are fixed with no columns, and
+  // the program then arrives column by column through AddStructural. With
+  // no columns the engine solves to zero; with them it must agree with
+  // SolveLp on the same program given whole.
+  LinearProgram rows;
+  rows.AddConstraint(Le({}, 2.0));
+  rows.AddConstraint(Le({}, 2.0));
+  RevisedSimplex engine(rows);
+  Solution empty;
+  ASSERT_EQ(engine.SolveFromScratch(), SolveStatus::kOptimal);
+  engine.Extract(&empty);
   EXPECT_EQ(empty.objective, 0.0);
-  inc.AddVariable(4.0, LinearProgram::kInfinity, {{0, 2.0}});
-  const Solution& s = inc.Solve();
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 2.0, 1e-9);
-  EXPECT_NEAR(s.values[0], 0.5, 1e-9);
+  EXPECT_TRUE(empty.values.empty());
+
+  EXPECT_EQ(engine.AddStructural(1.0, 1.0, {{0, 1.0}, {1, 1.0}}), 0u);
+  EXPECT_EQ(engine.AddStructural(2.0, 1.0, {{0, 1.0}, {1, 2.0}}), 1u);
+  // Duplicate row entries are summed: x2 has coefficient 1 on row 0.
+  EXPECT_EQ(engine.AddStructural(5.0, 1.0, {{0, 0.5}, {0, 0.5}}), 2u);
+  EXPECT_EQ(engine.num_structurals(), 3u);
+  EXPECT_EQ(engine.num_rows(), 2u);
+  Solution built;
+  ASSERT_EQ(engine.SolveFromScratch(), SolveStatus::kOptimal);
+  engine.Extract(&built);
+
+  LinearProgram whole;
+  whole.AddVariable(1.0, 1.0);
+  whole.AddVariable(2.0, 1.0);
+  whole.AddVariable(5.0, 1.0);
+  whole.AddConstraint(Le({{0, 1.0}, {1, 1.0}, {2, 1.0}}, 2.0));
+  whole.AddConstraint(Le({{0, 1.0}, {1, 2.0}}, 2.0));
+  Solution reference = SolveLp(whole);
+  ASSERT_EQ(reference.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(built.objective, 7.0, 1e-9);
+  EXPECT_NEAR(reference.objective, built.objective, 1e-9);
+  ASSERT_EQ(built.values.size(), 3u);
+  for (size_t j = 0; j < 3; ++j) {
+    EXPECT_NEAR(built.values[j], reference.values[j], 1e-9) << "var " << j;
+  }
 }
 
 }  // namespace

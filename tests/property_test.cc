@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <memory>
 #include <string>
 
@@ -375,153 +374,6 @@ TEST(TrainingDeterminismTest, TransientFaultsYieldByteIdenticalModel) {
   ASSERT_EQ(faulty4.evals_skipped, 0u);
   ExpectSameModel(clean, faulty);
   ExpectSameModel(clean, faulty4);
-}
-
-// ---------------------------------------------------------------------------
-// Property: warm-started incremental re-selection equals a cold solve.
-// A fabricated candidate stream is fed to one IncrementalSelector in
-// chunks (each Reselect re-prices from the previous optimal basis), and
-// after every chunk the result must equal a fresh cold SelectWithDelta
-// over the same prefix — across 200 seeded streams that vary candidate
-// shapes, delta, budgets, and the prefilter threshold.
-// ---------------------------------------------------------------------------
-
-core::TrainedModel MakeSyntheticModel(uint64_t seed, size_t num_rules,
-                                      size_t num_synthetic) {
-  util::Rng rng(seed);
-  core::TrainedModel model;
-  model.num_synthetic = num_synthetic;
-  model.synthetic_conf_all.assign(num_synthetic, 0.0);
-  for (size_t i = 0; i < num_rules; ++i) {
-    core::Sdc sdc;
-    sdc.confidence = rng.UniformDouble(0.5, 1.0);
-    sdc.fpr = rng.UniformDouble(0.0, 0.02);
-    std::vector<uint32_t> det;
-    size_t span = static_cast<size_t>(rng.UniformInt(1, 6));
-    size_t start = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(num_synthetic) - 1));
-    for (size_t k = 0; k < span; ++k) {
-      uint32_t j = static_cast<uint32_t>((start + 3 * k) % num_synthetic);
-      det.push_back(j);
-    }
-    std::sort(det.begin(), det.end());
-    det.erase(std::unique(det.begin(), det.end()), det.end());
-    for (uint32_t j : det) {
-      model.synthetic_conf_all[j] =
-          std::max(model.synthetic_conf_all[j], sdc.confidence);
-    }
-    model.constraints.push_back(sdc);
-    model.detections.push_back(std::move(det));
-  }
-  return model;
-}
-
-void ExpectSameSelection(const core::SelectionResult& a,
-                         const core::SelectionResult& b, uint64_t seed,
-                         size_t prefix) {
-  ASSERT_EQ(a.lp_status, b.lp_status) << "seed " << seed << " n " << prefix;
-  EXPECT_EQ(a.selected, b.selected) << "seed " << seed << " n " << prefix;
-  EXPECT_EQ(a.lp_num_variables, b.lp_num_variables)
-      << "seed " << seed << " n " << prefix;
-  EXPECT_EQ(a.lp_num_rows, b.lp_num_rows) << "seed " << seed << " n " << prefix;
-  EXPECT_NEAR(a.lp_objective, b.lp_objective,
-              1e-6 * std::max(1.0, std::fabs(b.lp_objective)))
-      << "seed " << seed << " n " << prefix;
-}
-
-TEST(IncrementalSelectionPropertyTest, WarmReselectEqualsColdSolve) {
-  size_t warm_solves = 0;
-  for (uint64_t seed = 0; seed < 200; ++seed) {
-    util::Rng rng(0xca11ab1e + seed);
-    size_t num_rules = static_cast<size_t>(rng.UniformInt(20, 120));
-    size_t num_synthetic = static_cast<size_t>(rng.UniformInt(10, 60));
-    core::TrainedModel model =
-        MakeSyntheticModel(seed, num_rules, num_synthetic);
-
-    core::SelectionOptions opt;
-    opt.seed = 42 + seed;
-    opt.size_budget = static_cast<size_t>(rng.UniformInt(3, 30));
-    opt.fpr_budget = rng.UniformDouble(0.02, 0.2);
-    // Some streams run FSS-style deltas, some CSS; a few get a prefilter
-    // threshold small enough to trigger mid-stream.
-    double delta = rng.Bernoulli(0.5) ? 1.0 : rng.UniformDouble(0.0, 0.3);
-    if (seed % 10 == 9) opt.max_lp_variables = 15;
-
-    core::IncrementalSelector warm(model, opt, delta);
-    size_t prefix = 0;
-    while (prefix < num_rules) {
-      prefix = std::min(
-          num_rules,
-          prefix + static_cast<size_t>(rng.UniformInt(5, 40)));
-      core::SelectionResult incremental = warm.Reselect(prefix);
-      if (incremental.warm_started) ++warm_solves;
-
-      // Cold reference: a fresh selector over the identical prefix.
-      core::IncrementalSelector cold(model, opt, delta);
-      core::SelectionResult fresh = cold.Reselect(prefix);
-      EXPECT_FALSE(fresh.warm_started);
-      ExpectSameSelection(incremental, fresh, seed, prefix);
-      if (HasFatalFailure()) return;
-    }
-  }
-  // The warm path genuinely engages (not everything falls back to cold).
-  EXPECT_GT(warm_solves, 100u);
-}
-
-TEST(IncrementalSelectionPropertyTest, SetDeltaMatchesFreshSelector) {
-  // CSS -> FSS transitions: narrowing delta on a live selector must give
-  // the same result as a fresh selector built at the narrow delta.
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    core::TrainedModel model = MakeSyntheticModel(500 + seed, 80, 40);
-    core::SelectionOptions opt;
-    opt.seed = 7 + seed;
-    opt.size_budget = 20;
-    opt.fpr_budget = 0.15;
-
-    core::IncrementalSelector selector(model, opt, /*delta=*/1.0);
-    core::SelectionResult coarse = selector.SelectAll();
-    selector.SetDelta(0.05);
-    core::SelectionResult fine = selector.Reselect(model.constraints.size());
-    core::SelectionResult fine_fresh = core::SelectWithDelta(model, opt, 0.05);
-    ExpectSameSelection(fine, fine_fresh, seed, model.constraints.size());
-    EXPECT_EQ(coarse.lp_status, lp::SolveStatus::kOptimal);
-    // And CoarseThenFineSelect is exactly this flow.
-    core::SelectionOptions fopt = opt;
-    fopt.delta = 0.05;
-    core::SelectionResult coarse2;
-    core::SelectionResult fine2 = core::CoarseThenFineSelect(model, fopt, &coarse2);
-    EXPECT_EQ(fine2.selected, fine.selected);
-    EXPECT_EQ(coarse2.selected, coarse.selected);
-  }
-}
-
-TEST(IncrementalSelectionPropertyTest, GreedyMatchesBudgetsAndIsDeterministic) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    core::TrainedModel model = MakeSyntheticModel(900 + seed, 100, 50);
-    core::SelectionOptions opt;
-    opt.solver = core::SelectionSolver::kGreedy;
-    opt.size_budget = 15;
-    opt.fpr_budget = 0.1;
-    core::SelectionResult a = core::FineSelect(model, opt);
-    core::SelectionResult b = core::FineSelect(model, opt);
-    EXPECT_TRUE(a.used_greedy);
-    EXPECT_EQ(a.selected, b.selected) << "seed " << seed;
-    EXPECT_LE(a.selected.size(), opt.size_budget);
-    double fpr = 0.0;
-    for (size_t i : a.selected) fpr += model.constraints[i].fpr;
-    EXPECT_LE(fpr, opt.fpr_budget + 1e-9);
-    EXPECT_GE(a.greedy_opt_bound, a.lp_objective);
-    // The LP relaxation upper-bounds integral coverage, and greedy must
-    // reach at least (1 - 1/e) of it on the size-constrained instances.
-    core::SelectionOptions lp_opt = opt;
-    lp_opt.solver = core::SelectionSolver::kRevisedSimplex;
-    core::SelectionResult relaxed = core::FineSelect(model, lp_opt);
-    if (relaxed.lp_status == lp::SolveStatus::kOptimal) {
-      EXPECT_GE(a.lp_objective,
-                (1.0 - 1.0 / std::exp(1.0)) * relaxed.lp_objective - 1e-6)
-          << "seed " << seed;
-    }
-  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "util/failpoint.h"
@@ -297,11 +296,6 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 7);
-}
-
-TEST(ResultTest, ToOptionalShimShape) {
-  EXPECT_EQ(Result<int>(5).ToOptional(), std::optional<int>(5));
-  EXPECT_EQ(Result<int>(NotFoundError("gone")).ToOptional(), std::nullopt);
 }
 
 Result<int> NeedsPositive(int x) {

@@ -9,6 +9,12 @@
 # (default 1.25, i.e. a >25% regression fails). A delta table is printed
 # either way.
 #
+# Each bench.micro.*_rel score is relative to the geomean over every micro
+# bench in the run, so the scores are comparable only over the same suite.
+# When the run's micro benches differ from the ones the baseline pins as
+# *_rel, the gate fails once, naming the added and the missing benches,
+# and compares no *_rel score.
+#
 # In addition to the baseline comparison, bench/floors.json (if present)
 # pins absolute CEILINGS for headline metrics: each floored metric must
 # stay at or below its ceiling. The baseline moves every time it is
@@ -36,7 +42,9 @@
 # and the bench.micro.*_rel relative scores — NOT the *_ns absolutes) from
 # BENCH_ci.json into bench/baseline.json, keeping names sorted. If the
 # change was an accepted speedup of a floored metric, lower its ceiling in
-# bench/floors.json in the same commit.
+# bench/floors.json in the same commit. After adding or removing a micro
+# bench, re-pin every *_rel gauge; removing one bench whose pinned score
+# is r multiplies each of the other n pinned scores by r^(1/n).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -164,10 +172,28 @@ else:
     with open(baseline_path) as f:
         base_doc = json.load(f)
     assert base_doc["schema"] == "autotest.metrics.v1", base_doc["schema"]
+
+    def micro_rel(names):
+        return {n for n in names
+                if n.startswith("bench.micro.") and n.endswith("_rel")}
+
+    pinned_rel = micro_rel(bm["name"] for bm in base_doc["metrics"])
+    run_rel = micro_rel(current)
+    suite_changed = pinned_rel != run_rel
+    if suite_changed:
+        failures.append(
+            "micro bench suite differs from the baseline's *_rel pins, so "
+            "no *_rel score is comparable: added "
+            f"{sorted(run_rel - pinned_rel) or 'none'}, missing "
+            f"{sorted(pinned_rel - run_rel) or 'none'}; re-pin every "
+            "*_rel gauge")
+        print(f"[bench-ci] FAIL: {failures[-1]}")
     # The baseline is the allowlist: every metric it pins must exist in
     # the current run and stay under baseline * threshold.
     for bm in base_doc["metrics"]:
         name, base = bm["name"], float(bm["value"])
+        if suite_changed and name in pinned_rel:
+            continue
         cm = current.get(name)
         if cm is None:
             failures.append(f"{name}: missing from current run")
