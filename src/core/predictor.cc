@@ -76,10 +76,13 @@ BudgetedPrediction SdcPredictor::PredictInternal(
   std::vector<bool> flagged(distinct.values.size(), false);
 
   // Stable views of the distinct values, built once and handed to each
-  // group's BatchDistance (vectorized families skip the per-value virtual
-  // dispatch and string materialization).
+  // group (vectorized families skip the per-value virtual dispatch and
+  // string materialization).
   std::vector<std::string_view> views(distinct.values.begin(),
                                       distinct.values.end());
+  // Each backend's rows for the distinct values, computed at the first of
+  // its groups that passes the gates and reused by its sibling groups.
+  std::vector<std::pair<const void*, typedet::BackendRows>> backend_rows;
 
   for (const Group& group : groups_) {
     // The deadline gate: one rule group (one evaluation function over all
@@ -104,7 +107,19 @@ BudgetedPrediction SdcPredictor::PredictInternal(
     ++result.groups_evaluated;
     // One distance computation per distinct value per evaluation function.
     std::vector<double> dist(distinct.values.size());
-    group.eval->BatchDistance(views, dist);
+    const void* backend = group.eval->backend();
+    if (backend == nullptr) {
+      group.eval->BatchDistance(views, dist);
+    } else {
+      auto rows = std::find_if(
+          backend_rows.begin(), backend_rows.end(),
+          [&](const auto& entry) { return entry.first == backend; });
+      if (rows == backend_rows.end()) {
+        rows = backend_rows.emplace(rows, backend, typedet::BackendRows{});
+        group.eval->ComputeBackendRows(views, &rows->second);
+      }
+      group.eval->DistanceFromRows(rows->second, dist);
+    }
     double total = static_cast<double>(distinct.total);
 
     // Appendix B.2: evaluate each distinct pre-condition once.

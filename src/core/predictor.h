@@ -58,6 +58,8 @@ struct BudgetedPrediction {
 /// Rules are grouped by their evaluation function so each distinct value's
 /// distance is computed once per function, and identical pre-conditions
 /// within a group are checked once ("compressing" pre-condition checks).
+/// Groups whose functions share a backend (DomainEvalFunction::backend())
+/// share that backend's rows: one row computation per backend per column.
 class SdcPredictor {
  public:
   /// `rules` reference evaluation functions owned elsewhere (the

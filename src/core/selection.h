@@ -20,9 +20,9 @@ struct SelectionOptions {
   /// LP-size guard: candidates beyond this are pre-filtered greedily by
   /// detection count per unit FPR before the LP is built.
   size_t max_lp_variables = 2500;
-  /// Workers for the per-candidate scoring passes (0 = hardware
-  /// concurrency). Results are written to per-candidate slots, so the
-  /// selection outcome is independent of this setting.
+  /// Workers for the per-candidate scoring passes (0 = the CPUs in the
+  /// process's affinity mask). Results are written to per-candidate
+  /// slots, so the selection outcome is independent of this setting.
   size_t num_threads = 0;
 };
 

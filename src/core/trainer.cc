@@ -23,9 +23,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Values handed to DomainEvalFunction::BatchDistance per call. Large
-// enough to amortize the per-call cache pass, small enough that a block's
-// distances stay in L1/L2.
+// Pool values per block: the unit of one backend-row computation and of
+// one BatchDistance call. Large enough to amortize the per-call cache
+// pass, small enough that a block's distances stay in L1/L2.
 constexpr size_t kEvalBatchSize = 256;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
@@ -193,12 +193,15 @@ void CountWithinThresholds(std::span<const uint32_t> ids,
 }
 
 // Corpus pass (DESIGN.md §4k): the eval function is scored once per
-// distinct pool value via BatchDistance blocks, then per-column statistics
-// are gathered from the distance array by pool id — no per-column
-// profiles, no per-value virtual calls.
+// distinct pool value, block by block, then per-column statistics are
+// gathered from the distance array by pool id — no per-column profiles,
+// no per-value virtual calls. `rows` holds the function's backend rows,
+// one entry per pool block, or is empty when the function has no backend
+// and scores through BatchDistance.
 EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
-                   const table::ColumnStore& store, const Thresholds& th,
-                   const TrainOptions& options,
+                   const table::ColumnStore& store,
+                   std::span<const typedet::BackendRows> rows,
+                   const Thresholds& th, const TrainOptions& options,
                    std::vector<double>* pool_dist) {
   const size_t num_cols = store.num_columns();
   const size_t ni = th.d_ins.size();
@@ -207,11 +210,16 @@ EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
 
   pool_dist->resize(store.pool_size());
   const std::span<const std::string_view> pool = store.pool();
-  for (size_t off = 0; off < pool.size(); off += kEvalBatchSize) {
-    size_t n = std::min(kEvalBatchSize, pool.size() - off);
-    eval.BatchDistance(pool.subspan(off, n),
-                       std::span<double>(*pool_dist).subspan(off, n),
-                       store.pool_id(), off);
+  for (size_t b = 0, off = 0; off < pool.size();
+       ++b, off += kEvalBatchSize) {
+    const size_t n = std::min(kEvalBatchSize, pool.size() - off);
+    const std::span<double> out =
+        std::span<double>(*pool_dist).subspan(off, n);
+    if (rows.empty()) {
+      eval.BatchDistance(pool.subspan(off, n), out);
+    } else {
+      eval.DistanceFromRows(rows[b], out);
+    }
   }
 
   const bool in_ascending =
@@ -441,13 +449,51 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
                                             options.wilson_z)
           : 0;
 
-  std::vector<FunctionResult> results(evals.size());
-
-  // One evaluation function per chunk: per-function cost is highly skewed
-  // (embedding families dominate), so let the pool steal at item
-  // granularity instead of batching functions together.
+  // One task per chunk in both passes below: per-task cost is highly
+  // skewed (embedding work dominates), so let the pool steal at item
+  // granularity instead of batching tasks together.
   util::parallel::Options eval_opt = par_opt;
   eval_opt.grain = 1;
+
+  // Shared backends (CTA zoos, embedding models), in first-function order:
+  // backends[k] is the first function reading backend k, and
+  // backend_of[fi] is function fi's backend, or kNoBackend.
+  constexpr size_t kNoBackend = SIZE_MAX;
+  std::vector<const typedet::DomainEvalFunction*> backends;
+  std::vector<size_t> backend_of(evals.size(), kNoBackend);
+  for (size_t fi = 0; fi < evals.size(); ++fi) {
+    const void* id = evals.at(fi).backend();
+    if (id == nullptr) continue;
+    size_t k = 0;
+    while (k < backends.size() && backends[k]->backend() != id) ++k;
+    if (k == backends.size()) backends.push_back(&evals.at(fi));
+    backend_of[fi] = k;
+  }
+
+  // Backend rows: one task per (backend, pool block) pair, so every
+  // backend computes every block exactly once, before any family folds.
+  // rows[k * num_blocks + b] holds backend k's rows for block b. The
+  // tasks' time counts as candidate generation, like the scoring it feeds.
+  const std::span<const std::string_view> pool = store.pool();
+  const size_t num_blocks =
+      (pool.size() + kEvalBatchSize - 1) / kEvalBatchSize;
+  std::vector<typedet::BackendRows> rows(backends.size() * num_blocks);
+  std::vector<double> row_seconds(rows.size(), 0.0);
+  util::parallel::ParallelFor(
+      rows.size(),
+      [&](size_t task) {
+        auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+        const typedet::DomainEvalFunction& first =
+            *backends[task / num_blocks];
+        const size_t off = (task % num_blocks) * kEvalBatchSize;
+        const size_t n = std::min(kEvalBatchSize, pool.size() - off);
+        first.ComputeBackendRows(pool.subspan(off, n), &rows[task]);
+        auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+        row_seconds[task] = Seconds(t0, t1);
+      },
+      eval_opt);
+
+  std::vector<FunctionResult> results(evals.size());
   util::parallel::ParallelFor(
       evals.size(),
       [&](size_t fi) {
@@ -476,10 +522,16 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
         const auto& eval = evals.at(fi);
         Thresholds th = MakeThresholds(eval, options);
 
-        // Corpus pass: coverage/trigger accumulators from the
-        // pool-memoized kernels.
+        // Corpus pass: coverage/trigger accumulators over the pool,
+        // scored from the backend's rows when the function has one.
+        std::span<const typedet::BackendRows> fn_rows;
+        if (backend_of[fi] != kNoBackend) {
+          fn_rows = std::span<const typedet::BackendRows>(rows).subspan(
+              backend_of[fi] * num_blocks, num_blocks);
+        }
         std::vector<double> pool_dist;
-        EvalPass pass = BuildPass(eval, store, th, options, &pool_dist);
+        EvalPass pass =
+            BuildPass(eval, store, fn_rows, th, options, &pool_dist);
         auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
         res.candidate_seconds += Seconds(t0, t1);
 
@@ -511,6 +563,9 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
   // Deterministic merge in function order.
   TrainedModel model;
   model.num_synthetic = synthetic.size();
+  for (double seconds : row_seconds) {
+    model.timings.candidate_gen_seconds += seconds;
+  }
   for (auto& res : results) {
     if (res.skipped) ++model.evals_skipped;
     model.candidates_enumerated += res.enumerated;

@@ -63,7 +63,7 @@ struct TrainOptions {
   size_t synthetic_count = 800;
 
   uint64_t seed = 77;
-  size_t num_threads = 0;  // 0 = hardware concurrency
+  size_t num_threads = 0;  // 0 = CPUs in the process's affinity mask
 
   /// In-memory retry budget for a family whose evaluation pass hits a
   /// transient injected fault (failpoint "trainer.eval" with a retryable
@@ -118,8 +118,11 @@ struct TrainedModel {
 /// Runs offline training (candidate generation + statistical assessment +
 /// recall estimation) against the corpus. Deterministic in options.seed.
 /// The corpus pass is columnar (DESIGN.md §4k): every distinct corpus
-/// value is interned once into a shared arena-backed pool and each
-/// evaluation function scores the pool in BatchDistance blocks.
+/// value is interned once into a shared arena-backed pool, each shared
+/// backend (DomainEvalFunction::backend()) computes its rows once per
+/// 256-value block of the pool, and each evaluation function then scores
+/// the pool from its backend's rows, or through BatchDistance when it has
+/// no backend.
 TrainedModel TrainAutoTest(const table::Corpus& corpus,
                            const typedet::EvalFunctionSet& evals,
                            const TrainOptions& options = {});

@@ -172,9 +172,7 @@ void EmbeddingModel::EmbedBlockCached(
     }
   }
   if (misses.empty()) return;
-  // Misses are embedded outside the lock (pure CPU work); two threads
-  // racing on the same value compute identical vectors, and emplace keeps
-  // whichever landed first.
+  // Misses are embedded outside the lock (pure CPU work).
   std::vector<std::pair<bool, Vector>> computed(misses.size());
   for (size_t k = 0; k < misses.size(); ++k) {
     computed[k].first =
@@ -186,35 +184,6 @@ void EmbeddingModel::EmbedBlockCached(
     if (cache_.size() >= kMaxCacheEntries) cache_.clear();
     cache_.emplace(std::string(values[misses[k]]), std::move(computed[k]));
   }
-}
-
-std::shared_ptr<const EmbeddingModel::BlockEmbeds>
-EmbeddingModel::EmbedBlockShared(std::span<const std::string_view> values,
-                                 uint64_t pool_id,
-                                 size_t block_offset) const {
-  const uint64_t key = (pool_id << 32) | static_cast<uint64_t>(block_offset);
-  {
-    util::MutexLock lock(&block_mu_);
-    auto it = block_cache_.find(key);
-    if (it != block_cache_.end()) return it->second;
-  }
-  auto block = std::make_shared<BlockEmbeds>();
-  block->rows.resize(values.size() * dim());
-  block->ok.resize(values.size());
-  EmbedBlockCached(values, block->rows.data(), block->ok.data());
-  util::MutexLock lock(&block_mu_);
-  auto [it, inserted] = block_cache_.emplace(key, block);
-  if (inserted) {
-    block_cache_floats_ += block->rows.size();
-    if (block_cache_floats_ > kMaxBlockCacheFloats) {
-      // Whole-cache eviction; in-flight readers hold shared_ptrs, and the
-      // next request rebuilds from the (still warm) value cache.
-      block_cache_.clear();
-      block_cache_floats_ = 0;
-    }
-    return block;
-  }
-  return it->second;  // racing thread published an identical block first
 }
 
 double EmbeddingModel::Distance(const std::string& a,

@@ -44,29 +44,10 @@ class EmbeddingModel {
   /// flags into `ok` (rows with ok == 0 are zero-filled). One cache pass
   /// for the whole block — lookups under a single lock, misses computed
   /// outside it, then inserted under one more lock — instead of a
-  /// lock/find/copy per value, which is what the per-centroid distance
-  /// kernels hammer. Bit-identical to per-value EmbedCached.
+  /// lock/find/copy per value. The rows are what every per-centroid
+  /// distance of this model reads. Bit-identical to per-value EmbedCached.
   void EmbedBlockCached(std::span<const std::string_view> values, float* out,
                         uint8_t* ok) const;
-
-  /// One memoized block of embeddings: row-major dim()-wide rows plus
-  /// per-value embeddability flags, exactly as EmbedBlockCached emits
-  /// them.
-  struct BlockEmbeds {
-    std::vector<float> rows;
-    std::vector<uint8_t> ok;
-  };
-
-  /// EmbedBlockCached for a block identified as the stable pool slice
-  /// [block_offset, block_offset + values.size()) of
-  /// table::ColumnStore::pool_id() == pool_id. The embedded block is
-  /// memoized, so the first per-centroid eval function to touch it pays
-  /// the value-cache pass once and every sibling centroid reads the same
-  /// rows with no hash lookups or copies. Requires pool_id != 0. Rows are
-  /// bit-identical to EmbedBlockCached on the same values.
-  std::shared_ptr<const BlockEmbeds> EmbedBlockShared(
-      std::span<const std::string_view> values, uint64_t pool_id,
-      size_t block_offset) const;
 
   /// Distance reported for value pairs involving an OOV value.
   virtual double oov_distance() const = 0;
@@ -76,8 +57,8 @@ class EmbeddingModel {
   double Distance(const std::string& a, const std::string& b) const;
 
  private:
-  // Transparent hashing so block lookups by string_view need no temporary
-  // std::string per probed value.
+  // Transparent hashing so EmbedBlockCached lookups by string_view need no
+  // temporary std::string per probed value.
   struct ValueHash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const noexcept {
@@ -90,15 +71,6 @@ class EmbeddingModel {
   mutable std::unordered_map<std::string, std::pair<bool, Vector>, ValueHash,
                              std::equal_to<>>
       cache_ AT_GUARDED_BY(cache_mu_);
-
-  // Memoized blocks keyed by (pool_id << 32) | offset. Bounded with
-  // whole-cache eviction; shared_ptr entries keep in-flight readers valid
-  // across an eviction.
-  static constexpr size_t kMaxBlockCacheFloats = 16'000'000;  // 64 MB
-  mutable util::Mutex block_mu_;
-  mutable std::unordered_map<uint64_t, std::shared_ptr<const BlockEmbeds>>
-      block_cache_ AT_GUARDED_BY(block_mu_);
-  mutable size_t block_cache_floats_ AT_GUARDED_BY(block_mu_) = 0;
 };
 
 /// GloVe-like embedding: closed vocabulary consisting of the *head* values

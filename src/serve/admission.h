@@ -47,7 +47,7 @@ class AdmissionQueue {
 
   /// Admits `job` unless the queue is at depth or admissions are closed.
   /// Returns false without blocking in either case — the caller sheds.
-  bool TryPush(AdmittedJob job) AT_EXCLUDES(mu_);
+  [[nodiscard]] bool TryPush(AdmittedJob job) AT_EXCLUDES(mu_);
 
   /// Blocks until a job is available or the queue is closed and drained;
   /// nullopt means "no more work ever" (worker exits).

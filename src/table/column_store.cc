@@ -1,7 +1,6 @@
 #include "table/column_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "util/check.h"
@@ -34,10 +33,7 @@ std::string_view ColumnStore::ArenaCopy(std::string_view value) {
 }
 
 ColumnStore ColumnStore::Build(std::span<const DistinctValues> columns) {
-  // Ids start at 1 so 0 can mean "no pool identity" in BatchDistance.
-  static std::atomic<uint64_t> next_pool_id{1};
   ColumnStore store;
-  store.pool_id_ = next_pool_id.fetch_add(1, std::memory_order_relaxed);
   size_t total_entries = 0;
   for (const auto& col : columns) total_entries += col.size();
   store.ids_.reserve(total_entries);

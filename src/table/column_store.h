@@ -20,12 +20,13 @@ namespace autotest::table {
 /// pool ids and multiplicities, flattened into shared vectors so a scan
 /// over a column touches contiguous memory.
 ///
-/// The pool is the unit of memoization for the trainer: a domain-evaluation
-/// function is scored once per pool value (`BatchDistance` over blocks of
-/// the pool), and per-column statistics are gathered from the resulting
-/// distance array by pool id. Because the corpus repeats values heavily
-/// both within and across columns, this turns O(sum of per-column distinct
-/// values) distance computations per eval family into O(pool size).
+/// The pool is the unit of memoization for the trainer: each shared
+/// backend computes its rows once per block of the pool, each
+/// domain-evaluation function is scored once per pool value, and
+/// per-column statistics are gathered from the resulting distance array by
+/// pool id. Because the corpus repeats values heavily both within and
+/// across columns, this turns O(sum of per-column distinct values)
+/// distance computations per eval family into O(pool size).
 ///
 /// Immutable after Build; safe to share across threads without locking.
 class ColumnStore {
@@ -67,12 +68,6 @@ class ColumnStore {
   /// Pool id of an interned value, or kNotFound.
   uint32_t Find(std::string_view value) const;
 
-  /// Process-unique identity of this store's value pool (never 0). Passed
-  /// to DomainEvalFunction::BatchDistance so shared backends (CTA zoos,
-  /// embedding models) can key dense block memos on (pool_id, offset)
-  /// instead of hashing every value again for every sibling function.
-  uint64_t pool_id() const { return pool_id_; }
-
   /// Bytes of value data held by the arena (diagnostics).
   size_t arena_bytes() const { return arena_bytes_; }
 
@@ -107,8 +102,6 @@ class ColumnStore {
   std::vector<uint32_t> counts_;
   std::vector<size_t> col_offsets_;
   std::vector<uint64_t> totals_;
-
-  uint64_t pool_id_ = 0;
 };
 
 }  // namespace autotest::table

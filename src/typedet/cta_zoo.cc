@@ -164,19 +164,9 @@ double CtaModelZoo::Score(size_t type_index, const std::string& value) const {
   return out;
 }
 
-std::shared_ptr<const std::vector<float>> CtaModelZoo::ScoreBlock(
-    std::span<const std::string_view> values, uint64_t pool_id,
-    size_t block_offset) const {
-  const uint64_t key = (pool_id << 32) | static_cast<uint64_t>(block_offset);
-  {
-    util::MutexLock lock(&block_mu_);
-    auto it = block_cache_.find(key);
-    if (it != block_cache_.end()) return it->second;
-  }
+void CtaModelZoo::ScoreRows(std::span<const std::string_view> values,
+                            float* out) const {
   const size_t nt = models_.size();
-  auto matrix = std::make_shared<std::vector<float>>(values.size() * nt);
-  // Row-fill from the value cache; misses are scored outside the lock, so
-  // the matrix rows are exactly the vectors per-value Score would cache.
   std::vector<size_t> misses;
   {
     util::MutexLock lock(&cache_mu_);
@@ -186,75 +176,16 @@ std::shared_ptr<const std::vector<float>> CtaModelZoo::ScoreBlock(
         misses.push_back(i);
         continue;
       }
-      std::copy(it->second.begin(), it->second.end(),
-                matrix->begin() + static_cast<ptrdiff_t>(i * nt));
-    }
-  }
-  if (!misses.empty()) {
-    std::vector<std::vector<float>> computed(misses.size());
-    for (size_t k = 0; k < misses.size(); ++k) {
-      std::vector<float> features = extractor_.Extract(values[misses[k]]);
-      ScoreAllTypes(features, &computed[k]);
-      std::copy(computed[k].begin(), computed[k].end(),
-                matrix->begin() + static_cast<ptrdiff_t>(misses[k] * nt));
-    }
-    util::MutexLock lock(&cache_mu_);
-    for (size_t k = 0; k < misses.size(); ++k) {
-      if (score_cache_.size() >= kMaxCacheEntries) score_cache_.clear();
-      score_cache_.emplace(std::string(values[misses[k]]),
-                           std::move(computed[k]));
-    }
-  }
-  util::MutexLock lock(&block_mu_);
-  auto [it, inserted] = block_cache_.emplace(key, matrix);
-  if (inserted) {
-    block_cache_floats_ += matrix->size();
-    if (block_cache_floats_ > kMaxBlockCacheFloats) {
-      // Whole-cache eviction; the caller's shared_ptr stays valid, and the
-      // next request simply rebuilds from the (still warm) value cache.
-      block_cache_.clear();
-      block_cache_floats_ = 0;
-    }
-    return matrix;
-  }
-  return it->second;  // racing thread published an identical matrix first
-}
-
-void CtaModelZoo::BatchScore(size_t type_index,
-                             std::span<const std::string_view> values,
-                             std::span<double> out, uint64_t pool_id,
-                             size_t block_offset) const {
-  AT_CHECK(type_index < models_.size() && out.size() >= values.size());
-  if (pool_id != 0) {
-    const std::shared_ptr<const std::vector<float>> matrix =
-        ScoreBlock(values, pool_id, block_offset);
-    const size_t nt = models_.size();
-    const float* m = matrix->data();
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = static_cast<double>(m[i * nt + type_index]);
-    }
-    return;
-  }
-  std::vector<size_t> misses;
-  {
-    util::MutexLock lock(&cache_mu_);
-    for (size_t i = 0; i < values.size(); ++i) {
-      auto it = score_cache_.find(values[i]);
-      if (it == score_cache_.end()) {
-        misses.push_back(i);
-        continue;
-      }
-      out[i] = static_cast<double>(it->second[type_index]);
+      std::copy(it->second.begin(), it->second.end(), out + i * nt);
     }
   }
   if (misses.empty()) return;
-  // Feature extraction + all per-type predictions happen outside the lock;
-  // racing threads compute identical score vectors.
+  // Misses are scored outside the lock (feature extraction dominates).
   std::vector<std::vector<float>> computed(misses.size());
   for (size_t k = 0; k < misses.size(); ++k) {
     std::vector<float> features = extractor_.Extract(values[misses[k]]);
     ScoreAllTypes(features, &computed[k]);
-    out[misses[k]] = static_cast<double>(computed[k][type_index]);
+    std::copy(computed[k].begin(), computed[k].end(), out + misses[k] * nt);
   }
   util::MutexLock lock(&cache_mu_);
   for (size_t k = 0; k < misses.size(); ++k) {

@@ -44,22 +44,12 @@ class CtaModelZoo {
   /// the cost and is shared across the zoo's types).
   double Score(size_t type_index, const std::string& value) const;
 
-  /// Batched Score over a block of values: out[i] receives the type's
-  /// score for values[i]. One cache pass per block (lookups under a single
-  /// lock, feature extraction for misses outside it) instead of a
-  /// lock/find per value. Bit-identical to per-value Score.
-  ///
-  /// A non-zero (pool_id, block_offset) identifies the block as a stable
-  /// slice of an interned value pool (table::ColumnStore). The zoo then
-  /// memoizes the block's dense all-type score matrix, so the first
-  /// per-type function to touch the block pays the value-cache pass once
-  /// and every sibling type's call is a contiguous strided read — no hash
-  /// lookups at all. Scores are bit-identical either way: the matrix rows
-  /// are the same per-value score vectors the value cache holds.
-  void BatchScore(size_t type_index,
-                  std::span<const std::string_view> values,
-                  std::span<double> out, uint64_t pool_id = 0,
-                  size_t block_offset = 0) const;
+  /// All-type score rows for a block of values: writes values.size()
+  /// row-major num_types()-wide rows into `out`, row i holding the scores
+  /// of values[i] in type order. One pass through the per-value cache —
+  /// lookups under a single lock, feature extraction for misses outside
+  /// it — so the rows are exactly the vectors per-value Score caches.
+  void ScoreRows(std::span<const std::string_view> values, float* out) const;
 
   const std::string& name() const { return config_.name; }
   const std::vector<std::string>& type_names() const {
@@ -83,13 +73,6 @@ class CtaModelZoo {
   /// Packs models_ into wt_/biases_/trained_ after training.
   void PackWeights();
 
-  /// Fetches (or builds and memoizes) the dense num_types-wide score
-  /// matrix for one identified pool block. Row i holds all type scores of
-  /// values[i], in type order.
-  std::shared_ptr<const std::vector<float>> ScoreBlock(
-      std::span<const std::string_view> values, uint64_t pool_id,
-      size_t block_offset) const;
-
   CtaZooConfig config_;
   ml::FeatureExtractor extractor_;
   std::vector<ml::LogisticRegression> models_;
@@ -99,8 +82,8 @@ class CtaModelZoo {
   std::vector<double> biases_;
   std::vector<uint8_t> trained_;
 
-  // Transparent hashing so block lookups by string_view need no temporary
-  // std::string per probed value.
+  // Transparent hashing so ScoreRows lookups by string_view need no
+  // temporary std::string per probed value.
   struct ValueHash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const noexcept {
@@ -115,17 +98,6 @@ class CtaModelZoo {
   mutable std::unordered_map<std::string, std::vector<float>, ValueHash,
                              std::equal_to<>>
       score_cache_ AT_GUARDED_BY(cache_mu_);
-
-  // Dense per-block score matrices keyed by (pool_id << 32) | offset,
-  // shared across the zoo's per-type eval functions. Bounded; whole-cache
-  // eviction like the value cache. shared_ptr entries let readers keep a
-  // matrix alive across an eviction without holding the lock.
-  static constexpr size_t kMaxBlockCacheFloats = 8'000'000;  // 32 MB
-  mutable util::Mutex block_mu_;
-  mutable std::unordered_map<uint64_t,
-                             std::shared_ptr<const std::vector<float>>>
-      block_cache_ AT_GUARDED_BY(block_mu_);
-  mutable size_t block_cache_floats_ AT_GUARDED_BY(block_mu_) = 0;
 };
 
 /// The two built-in zoos. Sherlock-sim covers a subset of NL domains

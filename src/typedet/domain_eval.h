@@ -5,6 +5,9 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "util/check.h"
 
 namespace autotest::typedet {
 
@@ -20,6 +23,20 @@ enum class Family {
 };
 
 const char* FamilyName(Family family);
+
+/// Rows a shared backend computes once per value for all of its sibling
+/// eval functions: `width` floats per value, row-major, plus a per-value
+/// flag. A CTA zoo's row is the value's all-type score vector; an
+/// embedding model's row is the value's vector, flagged 0 when the value
+/// is out of vocabulary (the row is then all zeros).
+struct BackendRows {
+  size_t width = 0;
+  std::vector<float> data;  // size() * width
+  std::vector<uint8_t> ok;  // one flag per value
+
+  size_t size() const { return ok.size(); }
+  const float* row(size_t i) const { return data.data() + i * width; }
+};
 
 /// Domain-evaluation function (paper Definition 1): a distance between a
 /// candidate value and a semantic type. Smaller distance = more likely "in"
@@ -40,30 +57,45 @@ class DomainEvalFunction {
   /// Must be deterministic and thread-safe.
   virtual double Distance(const std::string& value) const = 0;
 
+  /// Identity of the shared model this function reads (its CTA zoo or
+  /// embedding model), or nullptr when it has none. Functions returning
+  /// the same non-null identity compute identical rows for a value, so a
+  /// caller that evaluates several of them computes the rows once per
+  /// block of values (ComputeBackendRows) and hands them to every sibling
+  /// (DistanceFromRows). The trainer and the predictor do exactly that
+  /// (DESIGN.md §4k).
+  virtual const void* backend() const { return nullptr; }
+
+  /// Fills `rows` with the backend's rows for a block of values. Called
+  /// only on functions whose backend() is non-null.
+  virtual void ComputeBackendRows(
+      std::span<const std::string_view> /*values*/,
+      BackendRows* /*rows*/) const {
+    AT_CHECK_MSG(false, "ComputeBackendRows on a function without backend");
+  }
+
+  /// out[i] receives this function's distance for row i of `rows`, which
+  /// any function with the same backend() computed. MUST be bit-identical
+  /// to Distance on the same value: the trainer's columnar pass relies on
+  /// it, and the differential determinism suite enforces it.
+  virtual void DistanceFromRows(const BackendRows& /*rows*/,
+                                std::span<double> /*out*/) const {
+    AT_CHECK_MSG(false, "DistanceFromRows on a function without backend");
+  }
+
   /// Batched distance over a block of values: out[i] receives the distance
-  /// of values[i]. The default walks the block through the scalar virtual,
-  /// so every existing subclass keeps working; hot families override it
-  /// with block kernels (one lock acquisition per block in the cached
-  /// zoos/embeddings, contiguous SIMD-friendly inner loops). Overrides
-  /// MUST be value-for-value bit-identical to Distance — the trainer's
-  /// columnar path (DESIGN.md §4k) relies on it, and the differential
-  /// determinism suite enforces it.
-  ///
-  /// `pool_id`/`block_offset` optionally identify the block as a stable
-  /// slice [block_offset, block_offset + values.size()) of an interned
-  /// value pool (table::ColumnStore::pool_id()). A non-zero pool id lets
-  /// backends that share state across many eval functions (a CTA zoo's
-  /// dozens of per-type functions, an embedding model's dozens of
-  /// per-centroid functions) memoize dense per-block results once and
-  /// serve every sibling function from the same matrix, skipping the
-  /// per-value hash lookups entirely. pool_id == 0 means "no identity":
-  /// backends fall back to their per-value caches. Results are identical
-  /// either way; the key only changes where the memoization happens.
+  /// of values[i], bit-identical to Distance. The default computes the
+  /// backend's rows and this function's distances from them, or loops over
+  /// Distance when there is no backend; cheap families override it to skip
+  /// the per-value std::string materialization.
   virtual void BatchDistance(std::span<const std::string_view> values,
-                             std::span<double> out, uint64_t pool_id = 0,
-                             size_t block_offset = 0) const {
-    (void)pool_id;
-    (void)block_offset;
+                             std::span<double> out) const {
+    if (backend() != nullptr) {
+      BackendRows rows;
+      ComputeBackendRows(values, &rows);
+      DistanceFromRows(rows, out);
+      return;
+    }
     for (size_t i = 0; i < values.size(); ++i) {
       out[i] = Distance(std::string(values[i]));
     }

@@ -27,14 +27,22 @@ class CtaEval : public DomainEvalFunction {
     return 1.0 - zoo_->Score(type_index_, value);
   }
 
-  void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out, uint64_t pool_id,
-                     size_t block_offset) const override {
-    // The zoo's block memo (keyed on pool identity) serves the sibling
-    // per-type functions from one dense matrix; pool_id == 0 falls back
-    // to its per-value score cache. Bit-identical either way.
-    zoo_->BatchScore(type_index_, values, out, pool_id, block_offset);
-    for (size_t i = 0; i < values.size(); ++i) out[i] = 1.0 - out[i];
+  const void* backend() const override { return zoo_; }
+
+  void ComputeBackendRows(std::span<const std::string_view> values,
+                          BackendRows* rows) const override {
+    rows->width = zoo_->num_types();
+    rows->data.resize(values.size() * rows->width);
+    rows->ok.assign(values.size(), 1);
+    zoo_->ScoreRows(values, rows->data.data());
+  }
+
+  void DistanceFromRows(const BackendRows& rows,
+                        std::span<double> out) const override {
+    // Eq. 1 on the row's float score, widened exactly as Score widens it.
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i] = 1.0 - static_cast<double>(rows.row(i)[type_index_]);
+    }
   }
   double min_distance() const override { return 0.0; }
   double max_distance() const override { return 1.0; }
@@ -65,38 +73,25 @@ class EmbeddingEval : public DomainEvalFunction {
     return embed::EuclideanDistance(v, centroid_);
   }
 
-  void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out, uint64_t pool_id,
-                     size_t block_offset) const override {
-    // Embed the block once (single cache pass), then run the distance
-    // kernel over contiguous rows. With a pool identity the embedded
-    // block itself is memoized in the model and shared across all
-    // per-centroid functions — no per-value lookups or row copies at
-    // all. EuclideanDistanceRaw is the same function the scalar path
-    // reaches through EuclideanDistance, so the paths are bit-identical.
-    const size_t d = model_->dim();
-    std::shared_ptr<const embed::EmbeddingModel::BlockEmbeds> shared;
-    std::vector<float> local_rows;
-    std::vector<uint8_t> local_ok;
-    const float* rows = nullptr;
-    const uint8_t* ok = nullptr;
-    if (pool_id != 0) {
-      shared = model_->EmbedBlockShared(values, pool_id, block_offset);
-      rows = shared->rows.data();
-      ok = shared->ok.data();
-    } else {
-      local_rows.resize(values.size() * d);
-      local_ok.resize(values.size());
-      model_->EmbedBlockCached(values, local_rows.data(), local_ok.data());
-      rows = local_rows.data();
-      ok = local_ok.data();
-    }
+  const void* backend() const override { return model_; }
+
+  void ComputeBackendRows(std::span<const std::string_view> values,
+                          BackendRows* rows) const override {
+    rows->width = model_->dim();
+    rows->data.resize(values.size() * rows->width);
+    rows->ok.resize(values.size());
+    model_->EmbedBlockCached(values, rows->data.data(), rows->ok.data());
+  }
+
+  void DistanceFromRows(const BackendRows& rows,
+                        std::span<double> out) const override {
+    // EuclideanDistanceRaw is the kernel the scalar path reaches through
+    // EuclideanDistance, so the two paths are bit-identical.
     const double oov = model_->oov_distance();
-    const float* centroid = centroid_.data();
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = ok[i] != 0
-                   ? embed::EuclideanDistanceRaw(&rows[i * d], centroid, d)
-                   : oov;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i] = rows.ok[i] != 0 ? embed::EuclideanDistanceRaw(
+                                     rows.row(i), centroid_.data(), rows.width)
+                               : oov;
     }
   }
   double min_distance() const override { return 0.0; }
@@ -124,11 +119,9 @@ class PatternEval : public DomainEvalFunction {
   }
 
   void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out, uint64_t /*pool_id*/,
-                     size_t /*block_offset*/) const override {
+                     std::span<double> out) const override {
     // The matcher takes string_view natively; the override only skips the
-    // default loop's per-value std::string materialization. Matching is
-    // cheap enough that a pool-keyed memo would cost more than it saves.
+    // default loop's per-value std::string materialization.
     for (size_t i = 0; i < values.size(); ++i) {
       out[i] = pattern_.Matches(values[i]) ? 0.0 : 1.0;
     }
@@ -157,8 +150,7 @@ class FunctionEval : public DomainEvalFunction {
   }
 
   void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out, uint64_t /*pool_id*/,
-                     size_t /*block_offset*/) const override {
+                     std::span<double> out) const override {
     for (size_t i = 0; i < values.size(); ++i) {
       out[i] = validator_.fn(values[i]) ? 0.0 : 1.0;
     }
@@ -188,8 +180,7 @@ class RandomHashEval : public DomainEvalFunction {
   }
 
   void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out, uint64_t /*pool_id*/,
-                     size_t /*block_offset*/) const override {
+                     std::span<double> out) const override {
     for (size_t i = 0; i < values.size(); ++i) {
       out[i] = util::HashToUnitDouble(util::Fnv64Seeded(values[i], seed_));
     }

@@ -37,7 +37,6 @@ class AT_CAPABILITY("mutex") Mutex {
 
   void Lock() AT_ACQUIRE() { mu_.lock(); }
   void Unlock() AT_RELEASE() { mu_.unlock(); }
-  bool TryLock() AT_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // Lockable aliases for std:: facilities (CondVar's wait re-lock path).
   void lock() AT_ACQUIRE() { mu_.lock(); }

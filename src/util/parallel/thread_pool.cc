@@ -1,5 +1,9 @@
 #include "util/parallel/thread_pool.h"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <cstdio>
 
@@ -97,6 +101,15 @@ std::string FormatStats() {
 }
 
 size_t DefaultThreadCount() {
+#ifdef __linux__
+  // The CPUs this thread may run on: honours taskset and cpusets, which
+  // hardware_concurrency() ignores.
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<size_t>(n);
+  }
+#endif
   unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<size_t>(hc);
 }

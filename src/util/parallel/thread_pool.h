@@ -17,7 +17,7 @@ namespace autotest::util::parallel {
 
 /// Per-call knobs for the parallel loops below.
 struct Options {
-  /// Max participants (caller included). 0 = hardware concurrency.
+  /// Max participants (caller included). 0 = DefaultThreadCount().
   size_t num_threads = 0;
   /// Items per chunk. 0 = heuristic: ParallelFor/ParallelForEachChunk size
   /// chunks off the participant count; ParallelReduce uses a grain that
@@ -52,7 +52,7 @@ class ThreadPool {
 
   /// Runs every chunk [c*grain, min(n, (c+1)*grain)), c in [0, ceil(n/grain)),
   /// through body on up to num_threads participants (caller included;
-  /// 0 = hardware concurrency). Blocks until all chunks are done. Safe to
+  /// 0 = DefaultThreadCount()). Blocks until all chunks are done. Safe to
   /// call from multiple external threads (regions are serialized) and from
   /// inside a running region (the nested region runs inline).
   void RunChunked(size_t n, size_t grain, size_t num_threads,
@@ -82,7 +82,9 @@ class ThreadPool {
   std::vector<std::thread> workers_ AT_GUARDED_BY(mu_);
 };
 
-/// Default participant count: hardware_concurrency, at least 1.
+/// Default participant count: the number of CPUs in the calling thread's
+/// affinity mask (sched_getaffinity), so `taskset` and cpusets size the
+/// pool; hardware_concurrency when the mask is unavailable; at least 1.
 size_t DefaultThreadCount();
 
 /// One-line dump of the pool's `parallel.*` registry counters, for benches

@@ -57,9 +57,8 @@ std::optional<StatusCode> StatusCodeFromName(std::string_view name);
 ///
 /// The class itself is [[nodiscard]]: dropping a returned Status on the
 /// floor silently swallows the diagnostic the whole error layer exists to
-/// carry, so builds treat it as an error (-Werror=unused-result) and
-/// at_lint rule R1 flags it. An intentional discard must say so with
-/// `(void)`.
+/// carry, so builds treat it as an error (-Werror=unused-result). An
+/// intentional discard must say so with `(void)`.
 class [[nodiscard]] Status {
  public:
   Status() = default;

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cctype>
 #include <set>
 
 #include "core/auto_test.h"
 #include "core/predictor.h"
 #include "core/sdc.h"
 #include "core/selection.h"
+#include "core/serialization.h"
 #include "core/trainer.h"
 #include "datagen/corpus_gen.h"
+#include "table/column_store.h"
 #include "typedet/eval_functions.h"
 
 namespace autotest::core {
@@ -308,6 +312,141 @@ TEST(TrainerTest, PruningOnlySkipsHopelessCandidates) {
     EXPECT_EQ(a.constraints[i].eval_index, b.constraints[i].eval_index);
     EXPECT_DOUBLE_EQ(a.constraints[i].confidence,
                      b.constraints[i].confidence);
+  }
+}
+
+// A test-only shared backend. A value's row holds the shares of its digit,
+// letter and other characters; every row computation is counted.
+struct CountingBackend {
+  static constexpr size_t kWidth = 3;
+
+  static void Row(std::string_view value, float* row) {
+    size_t counts[kWidth] = {0, 0, 0};
+    for (unsigned char ch : value) {
+      ++counts[std::isdigit(ch) ? 0 : std::isalpha(ch) ? 1 : 2];
+    }
+    for (size_t c = 0; c < kWidth; ++c) {
+      row[c] = value.empty() ? 0.0f
+                             : static_cast<float>(counts[c]) /
+                                   static_cast<float>(value.size());
+    }
+  }
+
+  std::atomic<size_t> row_calls{0};
+};
+
+// Reads one column of a CountingBackend's rows as its distance. With
+// `shared` false it reports no backend, so callers score it through the
+// default BatchDistance loop over Distance instead.
+class CountingEval : public typedet::DomainEvalFunction {
+ public:
+  CountingEval(std::string id, CountingBackend* backend, size_t column,
+               bool shared)
+      : DomainEvalFunction(std::move(id), typedet::Family::kFunction),
+        backend_(backend),
+        column_(column),
+        shared_(shared) {}
+
+  double Distance(const std::string& value) const override {
+    float row[CountingBackend::kWidth];
+    CountingBackend::Row(value, row);
+    return static_cast<double>(row[column_]);
+  }
+  const void* backend() const override {
+    return shared_ ? backend_ : nullptr;
+  }
+  void ComputeBackendRows(std::span<const std::string_view> values,
+                          typedet::BackendRows* rows) const override {
+    backend_->row_calls.fetch_add(1, std::memory_order_relaxed);
+    rows->width = CountingBackend::kWidth;
+    rows->data.resize(values.size() * rows->width);
+    rows->ok.assign(values.size(), 1);
+    for (size_t i = 0; i < values.size(); ++i) {
+      CountingBackend::Row(values[i], rows->data.data() + i * rows->width);
+    }
+  }
+  void DistanceFromRows(const typedet::BackendRows& rows,
+                        std::span<double> out) const override {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i] = static_cast<double>(rows.row(i)[column_]);
+    }
+  }
+  double min_distance() const override { return 0.0; }
+  double max_distance() const override { return 1.0; }
+  std::string Describe() const override { return id(); }
+
+ private:
+  CountingBackend* backend_;
+  size_t column_;
+  bool shared_;
+};
+
+// The explicit row pass (DESIGN.md §4k) computes each backend's rows once
+// per block: ceil(pool / 256) calls per backend in training at any thread
+// count, and one call per backend per non-empty column in prediction. The
+// rules trained that way serialize byte-identically to rules trained from
+// the same functions without a backend.
+TEST(BackendRowsTest, EachBackendComputesEachBlockExactlyOnce) {
+  auto corpus =
+      datagen::GenerateCorpus(datagen::RelationalTablesProfile(150, 5));
+  const size_t blocks =
+      (table::ColumnStore::FromCorpus(corpus).pool_size() + 255) / 256;
+  ASSERT_GT(blocks, 1u);
+
+  CountingBackend backends[2];
+  auto make_set = [&](bool shared) {
+    typedet::EvalFunctionSetOptions opt;
+    opt.include_cta = false;
+    opt.include_embedding = false;
+    opt.include_pattern = false;
+    auto set = typedet::EvalFunctionSet::Build(corpus, opt);  // validators
+    for (size_t b = 0; b < 2; ++b) {
+      for (size_t c = 0; c < CountingBackend::kWidth; ++c) {
+        set.Add(std::make_unique<CountingEval>(
+            "test:backend" + std::to_string(b) + ":" + std::to_string(c),
+            &backends[b], c, shared));
+      }
+    }
+    return set;
+  };
+  const typedet::EvalFunctionSet shared = make_set(true);
+  const typedet::EvalFunctionSet plain = make_set(false);
+
+  TrainOptions topt;
+  topt.synthetic_count = 200;
+  const TrainedModel reference = TrainAutoTest(corpus, plain, topt);
+  EXPECT_EQ(backends[0].row_calls.load() + backends[1].row_calls.load(), 0u);
+  const std::string reference_rules = SerializeRules(reference.constraints);
+
+  TrainedModel model;
+  for (size_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (CountingBackend& b : backends) b.row_calls = 0;
+    topt.num_threads = threads;
+    model = TrainAutoTest(corpus, shared, topt);
+    for (CountingBackend& b : backends) EXPECT_EQ(b.row_calls.load(), blocks);
+    EXPECT_EQ(SerializeRules(model.constraints), reference_rules);
+    EXPECT_EQ(model.detections, reference.detections);
+  }
+
+  // Both backends must have rules for the predictor leg to bind.
+  for (const char* prefix : {"test:backend0:", "test:backend1:"}) {
+    EXPECT_TRUE(std::any_of(
+        model.constraints.begin(), model.constraints.end(),
+        [&](const Sdc& r) { return r.eval->id().starts_with(prefix); }))
+        << prefix;
+  }
+  SdcPredictor predictor(model.constraints);
+  for (CountingBackend& b : backends) b.row_calls = 0;
+  size_t non_empty = 0;
+  for (size_t c = 0; c < 30; ++c) {
+    predictor.Predict(corpus[c]);
+    if (!corpus[c].values.empty()) ++non_empty;
+  }
+  predictor.Predict(table::Column{});
+  ASSERT_GT(non_empty, 0u);
+  for (CountingBackend& b : backends) {
+    EXPECT_EQ(b.row_calls.load(), non_empty);
   }
 }
 

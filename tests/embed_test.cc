@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -156,32 +155,6 @@ TEST(EmbeddingTest, BlockCachedMatchesPerValueEmbed) {
       }
     }
   }
-}
-
-TEST(EmbeddingTest, BlockSharedMatchesBlockCachedAndMemoizes) {
-  auto model = MakeSbertSim(0x2cd);
-  const std::vector<std::string> values = BlockProbeValues();
-  std::vector<std::string_view> views(values.begin(), values.end());
-  const size_t d = model->dim();
-  std::vector<float> rows(views.size() * d);
-  std::vector<uint8_t> ok(views.size());
-  model->EmbedBlockCached(views, rows.data(), ok.data());
-
-  auto blk = model->EmbedBlockShared(views, /*pool_id=*/42, /*offset=*/0);
-  ASSERT_NE(blk, nullptr);
-  ASSERT_EQ(blk->rows.size(), rows.size());
-  ASSERT_EQ(blk->ok.size(), ok.size());
-  EXPECT_EQ(std::memcmp(blk->rows.data(), rows.data(),
-                        rows.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(blk->ok.data(), ok.data(), ok.size()), 0);
-
-  // Same (pool_id, offset) must return the memoized block itself; a
-  // different offset is a different slice and must not alias it.
-  auto again = model->EmbedBlockShared(views, 42, 0);
-  EXPECT_EQ(blk.get(), again.get());
-  auto other = model->EmbedBlockShared(views, 42, 7);
-  EXPECT_NE(blk.get(), other.get());
 }
 
 TEST(EmbeddingTest, SharedModelsAreProcessSingletons) {

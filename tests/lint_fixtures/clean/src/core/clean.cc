@@ -1,18 +1,5 @@
 // Clean fixture: every rule has a near-miss here that must NOT fire.
-#include <string>
-
 namespace fixture {
-
-struct Result {
-  bool ok() const { return true; }
-};
-
-Result TryParseThing(const std::string& text);
-
-// R1 near-miss: the Try* result is consumed.
-bool Consume(const std::string& text) {
-  return TryParseThing(text).ok();
-}
 
 struct Clock {
   static int now();

@@ -317,16 +317,5 @@ TEST(ColumnStoreTest, ArenaViewsSurviveMoveAndOversizedValues) {
   EXPECT_EQ(store.Find(huge), 1u);
 }
 
-TEST(ColumnStoreTest, PoolIdsAreUniqueAndNonZero) {
-  Corpus corpus = MakeCorpus({{"a", "b"}});
-  ColumnStore s1 = ColumnStore::FromCorpus(corpus);
-  ColumnStore s2 = ColumnStore::FromCorpus(corpus);
-  // 0 means "no pool identity" in BatchDistance, so ids must never be 0,
-  // and two stores (even over identical corpora) must never share one.
-  EXPECT_NE(s1.pool_id(), 0u);
-  EXPECT_NE(s2.pool_id(), 0u);
-  EXPECT_NE(s1.pool_id(), s2.pool_id());
-}
-
 }  // namespace
 }  // namespace autotest::table

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -309,12 +310,14 @@ TEST(EvalFunctionSetTest, RandomHashInjection) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchDistance parity: for every family in a full eval set, the batched
-// override (both without a pool identity and keyed on a ColumnStore pool)
-// must be bit-identical to the scalar Distance virtual at every block
-// size. This is the contract the trainer's columnar pass and the
-// zoo/embedding block memos rely on (DESIGN.md §4k). Block sizes 1 and 37
-// stress the (pool_id, offset) memo keying; 256 is the trainer's block.
+// Batch parity: for every function in a full eval set, BatchDistance must
+// be bit-identical to the scalar Distance virtual at every block size, and
+// so must the rows leg — for a function with a backend, DistanceFromRows
+// over the rows its backend computed (ComputeBackendRows, called on the
+// first function of that backend, as the trainer does). This is the
+// contract the trainer's columnar pass and the predictor's shared rows
+// rely on (DESIGN.md §4k). 256 is the trainer's block; 1 and 37 cut the
+// pool into blocks the trainer never sees.
 // ---------------------------------------------------------------------------
 
 TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
@@ -325,38 +328,59 @@ TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
   opt.embedding_centroids_per_model = 5;
   opt.num_random_hash = 2;
   auto set = EvalFunctionSet::Build(corpus, opt);
+  const table::ColumnStore store = table::ColumnStore::FromCorpus(corpus);
+  const std::span<const std::string_view> pool = store.pool();
+  ASSERT_GT(pool.size(), 0u);
+  // Cap the probe set: parity over a prefix is as binding as the full
+  // pool and keeps the sweep over every eval function fast.
+  const size_t n = std::min<size_t>(pool.size(), 400);
 
   for (size_t block : {size_t{1}, size_t{37}, size_t{256}}) {
     SCOPED_TRACE("block=" + std::to_string(block));
-    // A pool is always cut into the same blocks, so each block size gets
-    // a fresh store and with it a fresh pool id.
-    table::ColumnStore store = table::ColumnStore::FromCorpus(corpus);
-    const std::span<const std::string_view> pool = store.pool();
-    ASSERT_GT(pool.size(), 0u);
-    // Cap the probe set: parity over a prefix is as binding as the full
-    // pool and keeps the sweep over every eval function fast.
-    const size_t n = std::min<size_t>(pool.size(), 400);
-
+    // Each backend's rows per block, computed by its first function.
+    std::map<const void*, std::vector<BackendRows>> rows_of;
     bool saw_family[5] = {false, false, false, false, false};
-    std::vector<double> keyless(n);
-    std::vector<double> keyed(n);
+    size_t rows_checked = 0;
+    std::vector<double> batched(n);
+    std::vector<double> from_rows(n);
     for (const auto& f : set.functions()) {
       saw_family[static_cast<size_t>(f->family())] = true;
+      std::vector<BackendRows>* rows = nullptr;
+      if (f->backend() != nullptr) {
+        auto [it, first] = rows_of.try_emplace(f->backend());
+        rows = &it->second;
+        if (first) {
+          for (size_t off = 0; off < n; off += block) {
+            rows->emplace_back();
+            f->ComputeBackendRows(pool.subspan(off, std::min(block, n - off)),
+                                  &rows->back());
+          }
+        }
+      }
       for (size_t off = 0; off < n; off += block) {
         size_t len = std::min(block, n - off);
         f->BatchDistance(pool.subspan(off, len),
-                         std::span<double>(keyless).subspan(off, len));
-        f->BatchDistance(pool.subspan(off, len),
-                         std::span<double>(keyed).subspan(off, len),
-                         store.pool_id(), off);
+                         std::span<double>(batched).subspan(off, len));
+        if (rows != nullptr) {
+          f->DistanceFromRows((*rows)[off / block],
+                              std::span<double>(from_rows).subspan(off, len));
+        }
       }
       for (size_t i = 0; i < n; ++i) {
         double scalar = f->Distance(std::string(pool[i]));
-        ASSERT_EQ(keyless[i], scalar) << f->id() << " value " << pool[i];
-        ASSERT_EQ(keyed[i], scalar) << f->id() << " value " << pool[i];
+        ASSERT_EQ(batched[i], scalar) << f->id() << " value " << pool[i];
+        if (rows != nullptr) {
+          ASSERT_EQ(from_rows[i], scalar) << f->id() << " value " << pool[i];
+        }
       }
+      if (rows != nullptr) ++rows_checked;
     }
     for (bool seen : saw_family) EXPECT_TRUE(seen);
+    // Two zoos and two embedding models back the CTA and embedding
+    // families; every one of their functions took the rows leg.
+    EXPECT_EQ(rows_of.size(), 4u);
+    EXPECT_EQ(rows_checked, set.FamilyFunctions(Family::kCta).size() +
+                                set.FamilyFunctions(Family::kEmbedding).size());
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <memory>
 #include <set>
@@ -26,7 +30,6 @@
 namespace autotest::core {
 #if AT_NODISCARD_COMPILE_FAIL == 1
 void DiscardsTryResult(const typedet::EvalFunctionSet& evals) {
-  // at_lint: disable(R1) deliberate discard; this must fail to compile
   TryLoadRulesFromFile("rules.sdc", evals);
 }
 #elif AT_NODISCARD_COMPILE_FAIL == 2
@@ -444,6 +447,25 @@ TEST(ThreadPoolTest, EmptyAndSingle) {
   EXPECT_EQ(count.load(), 1);
   EXPECT_GE(parallel::DefaultThreadCount(), 1u);
 }
+
+#ifdef __linux__
+TEST(ThreadPoolTest, DefaultThreadCountFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(parallel::DefaultThreadCount(),
+            static_cast<size_t>(CPU_COUNT(&saved)));
+  // Pin this thread to the first CPU of its mask, as `taskset -c` would.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = parallel::DefaultThreadCount();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 }  // namespace
 }  // namespace autotest::util

@@ -267,137 +267,6 @@ Suppressions ParseSuppressions(const SourceFile& file) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule R1 — discarded Status / Result<T> values.
-// ---------------------------------------------------------------------------
-
-/// True if the called function name propagates the Status contract: the
-/// Try* naming convention plus the registry's Configure.
-bool IsStatusReturningName(std::string_view name) {
-  if (name == "Configure") return true;
-  return name.size() > 3 && name.substr(0, 3) == "Try" &&
-         std::isupper(static_cast<unsigned char>(name[3]));
-}
-
-/// Analyses one full statement (joined across lines, comments stripped,
-/// literals blanked). Returns the name of the final call in a plain
-/// expression chain (`a::b().TryFoo(args);`) when the chain is the whole
-/// statement — i.e. the value of that call is discarded. Empty when the
-/// statement is anything else: a declaration (two adjacent identifiers),
-/// an assignment, a return, a cast, a control-flow keyword.
-std::string DiscardedCallName(std::string_view stmt) {
-  size_t i = 0;
-  std::string last_call;
-  bool prev_was_ident = false;
-  while (i < stmt.size()) {
-    char c = stmt[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (IsIdentChar(c)) {
-      size_t start = i;
-      while (i < stmt.size() && IsIdentChar(stmt[i])) ++i;
-      std::string_view word = stmt.substr(start, i - start);
-      if (i < stmt.size() && stmt[i] == '(') {
-        if (prev_was_ident) return "";  // `Type name(...)` — a declaration
-        // A call: skip its balanced argument list and carry on with
-        // whatever is chained after it.
-        int depth = 0;
-        while (i < stmt.size()) {
-          if (stmt[i] == '(') ++depth;
-          if (stmt[i] == ')' && --depth == 0) {
-            ++i;
-            break;
-          }
-          ++i;
-        }
-        if (depth != 0) return "";  // unbalanced (macro soup) — bail
-        last_call = std::string(word);
-        prev_was_ident = false;
-        continue;
-      }
-      if (prev_was_ident) return "";  // `Type name` — a declaration
-      prev_was_ident = true;
-      continue;
-    }
-    if (c == ':' && i + 1 < stmt.size() && stmt[i + 1] == ':') {
-      i += 2;
-      prev_was_ident = false;
-      continue;
-    }
-    if (c == '.' ||
-        (c == '-' && i + 1 < stmt.size() && stmt[i + 1] == '>')) {
-      i += c == '.' ? 1 : 2;
-      prev_was_ident = false;
-      continue;
-    }
-    if (c == ';') return last_call;  // end of the bare expression chain
-    return "";  // '=', '<', '(', keywords with operators... — value used
-  }
-  return "";
-}
-
-/// Finds violations of the form `expr.TryFoo(args);` / `TryFoo(args);`
-/// where the returned value is not consumed. A statement starts on a line
-/// whose previous meaningful code char is one of `;{}:` (or the file
-/// begins there) and is joined across lines up to its terminating `;`.
-void CheckR1(const SourceFile& file, const Suppressions& supp,
-             std::vector<Violation>* out) {
-  char prev_meaningful = ';';  // file start behaves like a statement start
-  for (size_t li = 0; li < file.code.size(); ++li) {
-    std::string_view trimmed = TrimView(file.code[li]);
-    if (trimmed.empty()) continue;
-    if (trimmed[0] == '#') continue;  // preprocessor: neither code nor end
-    char statement_opener = prev_meaningful;
-    prev_meaningful = trimmed.back();
-    if (statement_opener != ';' && statement_opener != '{' &&
-        statement_opener != '}' && statement_opener != ':') {
-      continue;  // mid-statement continuation line
-    }
-    // Join the statement across lines, up to the ';' that ends it. A '{'
-    // ends the join too: the "statement" was really a control-flow or
-    // definition header, and the lines after its brace are fresh
-    // statements of the new block, not continuations.
-    std::string stmt(trimmed);
-    size_t lj = li;
-    while (stmt.find(';') == std::string::npos &&
-           stmt.find('{') == std::string::npos &&
-           lj + 1 < file.code.size() && lj - li < 40) {
-      ++lj;
-      stmt += ' ';
-      stmt += TrimView(file.code[lj]);
-    }
-    std::string call = DiscardedCallName(stmt);
-    if (!call.empty() && IsStatusReturningName(call) &&
-        !supp.Covers(li + 1, "R1")) {
-      // Reported at the statement's first physical line, not wherever the
-      // call token landed after wrapping.
-      out->push_back({file.path, li + 1, "R1",
-                      "result of '" + call +
-                          "(...)' is discarded; Status/Result<T> carry "
-                          "the diagnostic — consume it or cast to (void) "
-                          "with a reason"});
-    }
-    if (lj != li) {
-      // The joined lines belong to this statement: skip them so a
-      // continuation line can never be re-detected as a fresh statement
-      // start (a `:` or `;` inside the statement — ternary splits,
-      // for-loop headers — used to re-trigger detection mid-statement
-      // and report at the continuation line instead of the first
-      // physical line).
-      for (size_t lk = lj + 1; lk-- > li;) {
-        std::string_view t = TrimView(file.code[lk]);
-        if (!t.empty() && t[0] != '#') {
-          prev_meaningful = t.back();
-          break;
-        }
-      }
-      li = lj;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule R2 — raw nondeterminism in deterministic subsystems.
 // ---------------------------------------------------------------------------
 
@@ -1264,7 +1133,6 @@ std::vector<Violation> LintFiles(const std::vector<SourceFile>& files,
   }
   const MemberMap members = BuildMemberMap(models);
   for (size_t i = 0; i < files.size(); ++i) {
-    CheckR1(files[i], supps[i], &out);
     CheckR2(files[i], supps[i], &out);
     CheckR4(files[i], supps[i], &out);
   }

@@ -15,7 +15,6 @@
 // compilation) and reports violations as `file:line: [rule-id] message`,
 // exiting 1 when anything fires:
 //
-//   R1  a Try*/Configure call whose Status/Result<T> value is discarded
 //   R2  raw nondeterminism (rand, srand, std::random_device, std::time,
 //       gettimeofday, any Clock::now) inside the deterministic subsystems
 //       src/core, src/stats, src/lp, src/util/parallel
@@ -23,8 +22,6 @@
 //       src/util/failpoint.h — and registered names no code ever uses
 //   R4  AT_CHECK on untrusted-input paths already migrated to Status
 //       (CSV parsing, rule serialization, recipe loading)
-//   (R5 is retired: Status and Result<T> are class-level [[nodiscard]],
-//   so -Werror=unused-result already rejects every discarded value.)
 //   R6  metric-name literals in src/ unknown to the kAllMetrics catalogue
 //       in src/util/metrics.h — plus catalogue constants missing from the
 //       kAllMetrics array or registered but never used
@@ -37,6 +34,10 @@
 //   R9  program-wide lock acquisition graph from nested lock scopes and
 //       AT_ACQUIRED_BEFORE/AFTER annotations must be acyclic; a cycle is
 //       reported with the full offending chain
+//
+// R1 and R5 are retired: Status and Result<T> are class-level
+// [[nodiscard]], every Try* function carries the attribute, and
+// -Werror=unused-result rejects every discarded value.
 //
 // R7-R9 run on the declaration model in decl_model.h (DESIGN.md §4i) and
 // are scoped to src/ paths; the util::Mutex wrapper itself is exempt.
@@ -58,7 +59,7 @@ namespace autotest::lint {
 struct Violation {
   std::string file;
   size_t line = 0;       // 1-based
-  std::string rule;      // "R1".."R9"
+  std::string rule;      // "R2".."R9"
   std::string message;
 
   std::string ToString() const;

@@ -1,6 +1,6 @@
 // at_lint — walks the given roots and reports violations of the project's
 // Status / determinism / failpoint / metrics / concurrency contracts
-// (rules R1-R9, see linter.h and DESIGN.md §4d/§4i).
+// (rules R2-R9, see linter.h and DESIGN.md §4d/§4i).
 //
 //   at_lint src tools tests          lint the tree (exit 1 on violations)
 //   at_lint --audit-suppressions ... also warn about stale disable tags
@@ -24,7 +24,6 @@
 namespace {
 
 constexpr const char* kRuleCatalogue =
-    "R1  Try*/Configure call whose Status/Result<T> value is discarded\n"
     "R2  raw nondeterminism (rand, srand, std::random_device, std::time,\n"
     "    gettimeofday, Clock::now) in src/core, src/stats, src/lp,\n"
     "    src/util/parallel\n"
