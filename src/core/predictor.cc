@@ -75,9 +75,8 @@ BudgetedPrediction SdcPredictor::PredictInternal(
   std::vector<size_t> best_rule(distinct.values.size(), 0);
   std::vector<bool> flagged(distinct.values.size(), false);
 
-  // Stable views of the distinct values, built once and handed to each
-  // group (vectorized families skip the per-value virtual dispatch and
-  // string materialization).
+  // Stable views of the distinct values, the block each backend computes
+  // its rows for.
   std::vector<std::string_view> views(distinct.values.begin(),
                                       distinct.values.end());
   // Each backend's rows for the distinct values, computed at the first of
@@ -109,7 +108,9 @@ BudgetedPrediction SdcPredictor::PredictInternal(
     std::vector<double> dist(distinct.values.size());
     const void* backend = group.eval->backend();
     if (backend == nullptr) {
-      group.eval->BatchDistance(views, dist);
+      for (size_t i = 0; i < views.size(); ++i) {
+        dist[i] = group.eval->Distance(views[i]);
+      }
     } else {
       auto rows = std::find_if(
           backend_rows.begin(), backend_rows.end(),
@@ -170,16 +171,6 @@ BudgetedPrediction SdcPredictor::PredictInternal(
   }
   detections.Increment(out.size());
   return result;
-}
-
-util::Result<std::vector<CellDetection>> SdcPredictor::TryPredict(
-    const table::Column& column) const {
-  if (auto injected = util::FailpointFiresCode(
-          util::kFpPredictorColumn, util::StatusCode::kResourceExhausted)) {
-    return util::InjectedFault(*injected, util::kFpPredictorColumn)
-        .WithContext("predicting column '" + column.name + "'");
-  }
-  return Predict(column);
 }
 
 util::Result<BudgetedPrediction> SdcPredictor::TryPredict(

@@ -77,19 +77,16 @@ class SdcPredictor {
   /// row, each carrying the best-rule confidence and explanation.
   std::vector<CellDetection> Predict(const table::Column& column) const;
 
-  /// Predict with an error channel: fails only under injected faults
-  /// (failpoint "predictor.column", simulating per-column resource
-  /// exhaustion) so callers can exercise column-level skip logic.
-  [[nodiscard]] util::Result<std::vector<CellDetection>> TryPredict(
-      const table::Column& column) const;
-
-  /// Deadline-aware variant for the serving tier: the budget is checked
+  /// Predict with an error channel and a budget. The budget is checked
   /// before each rule group (the natural phase boundary — one group = one
   /// evaluation function over all distinct values), so expiry yields the
-  /// detections found so far instead of stalling. Fails under injected
-  /// faults, exactly like TryPredict above, and with the resource
-  /// budget's structured kResourceExhausted when a rule group's
-  /// candidate-evaluation charge is rejected (budget.resources set).
+  /// detections found so far instead of stalling; an empty budget (null
+  /// clock, null resources) gates nothing. Fails under injected faults
+  /// (failpoint "predictor.column", simulating per-column resource
+  /// exhaustion) so callers can exercise column-level skip logic, and
+  /// with the resource budget's structured kResourceExhausted when a rule
+  /// group's candidate-evaluation charge is rejected (budget.resources
+  /// set).
   [[nodiscard]] util::Result<BudgetedPrediction> TryPredict(
       const table::Column& column, const PredictBudget& budget) const;
 

@@ -23,9 +23,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Pool values per block: the unit of one backend-row computation and of
-// one BatchDistance call. Large enough to amortize the per-call cache
-// pass, small enough that a block's distances stay in L1/L2.
+// Pool values per block: the unit of one backend-row computation. Large
+// enough to amortize the per-call cache pass, small enough that a block's
+// distances stay in L1/L2.
 constexpr size_t kEvalBatchSize = 256;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
@@ -49,8 +49,7 @@ struct Thresholds {
   std::vector<double> d_outs;
 };
 
-Thresholds MakeThresholds(const typedet::DomainEvalFunction& eval,
-                          const TrainOptions& opt) {
+Thresholds MakeThresholds(const typedet::DomainEvalFunction& eval) {
   Thresholds t;
   if (eval.binary()) {
     // Binary distances {0, 1}: the only meaningful inner/outer pair.
@@ -59,8 +58,8 @@ Thresholds MakeThresholds(const typedet::DomainEvalFunction& eval,
     return t;
   }
   double range = eval.max_distance();
-  for (double f : opt.d_in_fracs) t.d_ins.push_back(f * range);
-  for (double f : opt.d_out_fracs) t.d_outs.push_back(f * range);
+  for (double f : kDInFracs) t.d_ins.push_back(f * range);
+  for (double f : kDOutFracs) t.d_outs.push_back(f * range);
   return t;
 }
 
@@ -153,51 +152,41 @@ void PrefixSumBuckets(size_t num_m, EvalPass* pass) {
   }
 }
 
-// Weighted count of column values at or under each ascending threshold:
-// for every (id, weight) pair the first threshold >= its distance gets a
-// histogram increment, and a prefix sum turns the histogram into
-// cumulative counts — one bucket scan per value instead of one comparison
-// per (value, threshold). Thresholds outside ascending order (possible
-// with a user-supplied grid) fall back to the direct quadratic loop. Both
-// forms compute exactly `weight where distance <= threshold`, the same
-// comparison ComputeProfile's sorted upper_bound evaluates.
+// Weighted count of column values at or under each threshold. The
+// thresholds are ascending (the fixed grids scaled by a non-negative
+// max_distance), so for every (id, weight) pair the first threshold >= its
+// distance gets a histogram increment, and a prefix sum turns the
+// histogram into cumulative counts — one bucket scan per value instead of
+// one comparison per (value, threshold). This computes exactly `weight
+// where distance <= threshold`, the same comparison ComputeProfile's
+// sorted upper_bound evaluates.
 void CountWithinThresholds(std::span<const uint32_t> ids,
                            std::span<const uint32_t> counts,
                            const std::vector<double>& pool_dist,
                            const std::vector<double>& thresholds,
-                           bool ascending, uint64_t* within) {
+                           uint64_t* within) {
   const size_t nt = thresholds.size();
-  for (size_t t = 0; t < nt; ++t) within[t] = 0;
-  if (ascending) {
-    // hist[b]: weight whose first satisfied threshold is b (nt = none).
-    std::vector<uint64_t> hist(nt + 1, 0);
-    for (size_t j = 0; j < ids.size(); ++j) {
-      double d = pool_dist[ids[j]];
-      size_t b = 0;
-      while (b < nt && d > thresholds[b]) ++b;
-      hist[b] += counts[j];
-    }
-    uint64_t acc = 0;
-    for (size_t t = 0; t < nt; ++t) {
-      acc += hist[t];
-      within[t] = acc;
-    }
-    return;
-  }
+  // hist[b]: weight whose first satisfied threshold is b (nt = none).
+  std::vector<uint64_t> hist(nt + 1, 0);
   for (size_t j = 0; j < ids.size(); ++j) {
     double d = pool_dist[ids[j]];
-    for (size_t t = 0; t < nt; ++t) {
-      if (d <= thresholds[t]) within[t] += counts[j];
-    }
+    size_t b = 0;
+    while (b < nt && d > thresholds[b]) ++b;
+    hist[b] += counts[j];
+  }
+  uint64_t acc = 0;
+  for (size_t t = 0; t < nt; ++t) {
+    acc += hist[t];
+    within[t] = acc;
   }
 }
 
 // Corpus pass (DESIGN.md §4k): the eval function is scored once per
-// distinct pool value, block by block, then per-column statistics are
-// gathered from the distance array by pool id — no per-column profiles,
-// no per-value virtual calls. `rows` holds the function's backend rows,
-// one entry per pool block, or is empty when the function has no backend
-// and scores through BatchDistance.
+// distinct pool value, then per-column statistics are gathered from the
+// distance array by pool id — no per-column profiles. `rows` holds the
+// function's backend rows, one entry per pool block, or is empty when the
+// function has no backend and scores the pool value by value through
+// Distance.
 EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
                    const table::ColumnStore& store,
                    std::span<const typedet::BackendRows> rows,
@@ -210,22 +199,18 @@ EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
 
   pool_dist->resize(store.pool_size());
   const std::span<const std::string_view> pool = store.pool();
-  for (size_t b = 0, off = 0; off < pool.size();
-       ++b, off += kEvalBatchSize) {
-    const size_t n = std::min(kEvalBatchSize, pool.size() - off);
-    const std::span<double> out =
-        std::span<double>(*pool_dist).subspan(off, n);
-    if (rows.empty()) {
-      eval.BatchDistance(pool.subspan(off, n), out);
-    } else {
+  if (rows.empty()) {
+    for (size_t v = 0; v < pool.size(); ++v) {
+      (*pool_dist)[v] = eval.Distance(pool[v]);
+    }
+  } else {
+    for (size_t b = 0; b < rows.size(); ++b) {
+      const std::span<double> out = std::span<double>(*pool_dist).subspan(
+          b * kEvalBatchSize, rows[b].size());
       eval.DistanceFromRows(rows[b], out);
     }
   }
 
-  const bool in_ascending =
-      std::is_sorted(th.d_ins.begin(), th.d_ins.end());
-  const bool out_ascending =
-      std::is_sorted(th.d_outs.begin(), th.d_outs.end());
   std::vector<uint64_t> within_in(ni);
   std::vector<uint64_t> within_out(no);
   std::vector<uint32_t> cov(ni);
@@ -237,9 +222,9 @@ EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
       continue;
     }
     CountWithinThresholds(col.ids, col.counts, *pool_dist, th.d_ins,
-                          in_ascending, within_in.data());
+                          within_in.data());
     CountWithinThresholds(col.ids, col.counts, *pool_dist, th.d_outs,
-                          out_ascending, within_out.data());
+                          within_out.data());
     for (size_t i = 0; i < ni; ++i) {
       cov[i] = static_cast<uint32_t>(within_in[i]);
     }
@@ -520,7 +505,7 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
         }
         auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
         const auto& eval = evals.at(fi);
-        Thresholds th = MakeThresholds(eval, options);
+        Thresholds th = MakeThresholds(eval);
 
         // Corpus pass: coverage/trigger accumulators over the pool,
         // scored from the backend's rows when the function has one.

@@ -1,6 +1,7 @@
 #ifndef AUTOTEST_CORE_TRAINER_H_
 #define AUTOTEST_CORE_TRAINER_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -10,16 +11,18 @@
 
 namespace autotest::core {
 
+/// Inner/outer thresholds as fractions of each evaluation function's
+/// max_distance (paper Section 5.1; binary families collapse to a single
+/// pair). Ascending, which the trainer's one-scan threshold counts rely on.
+inline constexpr std::array<double, 8> kDInFracs = {
+    0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4};
+inline constexpr std::array<double, 10> kDOutFracs = {
+    0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95};
+
 /// Offline-training options (paper Sections 5.1-5.2).
 struct TrainOptions {
   /// Matching-percentage grid (descending), step 0.05 like the paper.
   std::vector<double> m_grid = {1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7};
-  /// Inner/outer thresholds as fractions of each evaluation function's
-  /// max_distance (binary families collapse to a single pair).
-  std::vector<double> d_in_fracs = {0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
-                                    0.35, 0.4};
-  std::vector<double> d_out_fracs = {0.5,  0.55, 0.6,  0.65, 0.7,
-                                     0.75, 0.8,  0.85, 0.9,  0.95};
 
   /// Statistical-test thresholds (Section 5.2).
   double h_threshold = 0.8;   // Cohen's h "large effect"
@@ -121,8 +124,8 @@ struct TrainedModel {
 /// value is interned once into a shared arena-backed pool, each shared
 /// backend (DomainEvalFunction::backend()) computes its rows once per
 /// 256-value block of the pool, and each evaluation function then scores
-/// the pool from its backend's rows, or through BatchDistance when it has
-/// no backend.
+/// the pool from its backend's rows, or value by value through Distance
+/// when it has no backend.
 TrainedModel TrainAutoTest(const table::Corpus& corpus,
                            const typedet::EvalFunctionSet& evals,
                            const TrainOptions& options = {});

@@ -33,8 +33,6 @@ struct CleaningDataset {
   /// constraints (FDs etc.), per the paper's Table 9 "cols covered by
   /// existing ground-truth" row.
   std::vector<size_t> columns_with_existing_constraints;
-
-  size_t NumCategoricalColumns() const { return data.columns.size(); }
 };
 
 /// Builds all nine datasets deterministically.

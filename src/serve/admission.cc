@@ -93,12 +93,6 @@ bool TokenBucket::TryTake(int64_t now_micros) {
   return true;
 }
 
-double TokenBucket::AvailableTokens(int64_t now_micros) {
-  MutexLock lock(&mu_);
-  RefillLocked(now_micros);
-  return tokens_;
-}
-
 Result<std::map<std::string, TenantQuota, std::less<>>> TryParseQuotaConfig(
     std::string_view text) {
   constexpr std::string_view kQuotaMagic = "autotest.quotas.v1";
@@ -211,7 +205,6 @@ Status TenantGovernor::TryLoadQuotas(const std::string& path) {
     // Rebuild buckets lazily against the new table; in-flight TryAdmit
     // calls finish against their shared_ptr copy of the old bucket.
     buckets_.clear();
-    ++quota_version_;
   }
   quota_reloads.Increment();
   return Status::Ok();
@@ -270,11 +263,6 @@ util::CircuitBreaker& TenantGovernor::BreakerFor(std::string_view tenant,
   std::string key = std::string(tenant) + "\x1f" +
                     std::to_string(ruleset_version);
   return breakers_.For(key);
-}
-
-uint64_t TenantGovernor::quota_version() const {
-  MutexLock lock(&mu_);
-  return quota_version_;
 }
 
 }  // namespace autotest::serve

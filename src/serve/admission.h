@@ -94,9 +94,6 @@ class TokenBucket {
   /// Takes one token if available after refilling to `now_micros`.
   [[nodiscard]] bool TryTake(int64_t now_micros) AT_EXCLUDES(mu_);
 
-  /// Tokens currently available (after refilling to `now_micros`).
-  double AvailableTokens(int64_t now_micros) AT_EXCLUDES(mu_);
-
  private:
   void RefillLocked(int64_t now_micros) AT_REQUIRES(mu_);
 
@@ -154,9 +151,6 @@ class TenantGovernor {
   util::CircuitBreaker& BreakerFor(std::string_view tenant,
                                    uint64_t ruleset_version);
 
-  /// Monotonic count of successful quota (re)loads.
-  uint64_t quota_version() const AT_EXCLUDES(mu_);
-
  private:
   /// The bucket for `tenant`, created on first use from its quota row
   /// (explicit row, else `default` row, else nullptr = unlimited).
@@ -173,12 +167,11 @@ class TenantGovernor {
   util::Mutex reload_mu_ AT_ACQUIRED_BEFORE(mu_);
   std::string quota_path_ AT_GUARDED_BY(reload_mu_);
 
-  mutable util::Mutex mu_;
+  util::Mutex mu_;
   std::map<std::string, TenantQuota, std::less<>> quotas_
       AT_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<TokenBucket>, std::less<>>
       buckets_ AT_GUARDED_BY(mu_);
-  uint64_t quota_version_ AT_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace autotest::serve

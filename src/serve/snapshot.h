@@ -57,7 +57,7 @@ class RuleSetSnapshot {
 class SnapshotStore {
  public:
   /// `evals` must outlive the store (rule files resolve eval ids against
-  /// it; it is corpus-derived and owned by the daemon's AutoTest model).
+  /// it; the daemon rebuilds it from the rule file's recipe corpus).
   SnapshotStore(const typedet::EvalFunctionSet* evals,
                 std::string rules_path);
 

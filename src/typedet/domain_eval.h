@@ -54,8 +54,9 @@ class DomainEvalFunction {
   Family family() const { return family_; }
 
   /// Distance between the type represented by this function and `value`.
-  /// Must be deterministic and thread-safe.
-  virtual double Distance(const std::string& value) const = 0;
+  /// Must be deterministic and thread-safe. Callers scoring a block of
+  /// values through a function without a backend loop over it.
+  virtual double Distance(std::string_view value) const = 0;
 
   /// Identity of the shared model this function reads (its CTA zoo or
   /// embedding model), or nullptr when it has none. Functions returning
@@ -81,24 +82,6 @@ class DomainEvalFunction {
   virtual void DistanceFromRows(const BackendRows& /*rows*/,
                                 std::span<double> /*out*/) const {
     AT_CHECK_MSG(false, "DistanceFromRows on a function without backend");
-  }
-
-  /// Batched distance over a block of values: out[i] receives the distance
-  /// of values[i], bit-identical to Distance. The default computes the
-  /// backend's rows and this function's distances from them, or loops over
-  /// Distance when there is no backend; cheap families override it to skip
-  /// the per-value std::string materialization.
-  virtual void BatchDistance(std::span<const std::string_view> values,
-                             std::span<double> out) const {
-    if (backend() != nullptr) {
-      BackendRows rows;
-      ComputeBackendRows(values, &rows);
-      DistanceFromRows(rows, out);
-      return;
-    }
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = Distance(std::string(values[i]));
-    }
   }
 
   /// Smallest / largest distance this function can produce; the candidate

@@ -22,9 +22,9 @@ class CtaEval : public DomainEvalFunction {
         zoo_(zoo),
         type_index_(type_index) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     // Paper Eq. 1: distance = 1 - classifier score.
-    return 1.0 - zoo_->Score(type_index_, value);
+    return 1.0 - zoo_->Score(type_index_, std::string(value));
   }
 
   const void* backend() const override { return zoo_; }
@@ -67,9 +67,11 @@ class EmbeddingEval : public DomainEvalFunction {
         centroid_value_(std::move(centroid_value)),
         centroid_(std::move(centroid)) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     embed::Vector v;
-    if (!model_->EmbedCached(value, &v)) return model_->oov_distance();
+    if (!model_->EmbedCached(std::string(value), &v)) {
+      return model_->oov_distance();
+    }
     return embed::EuclideanDistance(v, centroid_);
   }
 
@@ -113,18 +115,9 @@ class PatternEval : public DomainEvalFunction {
       : DomainEvalFunction("pat:" + pattern.ToString(), Family::kPattern),
         pattern_(std::move(pattern)) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     // Paper Eq. 3: match -> 0, non-match -> 1.
     return pattern_.Matches(value) ? 0.0 : 1.0;
-  }
-
-  void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out) const override {
-    // The matcher takes string_view natively; the override only skips the
-    // default loop's per-value std::string materialization.
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = pattern_.Matches(values[i]) ? 0.0 : 1.0;
-    }
   }
   double min_distance() const override { return 0.0; }
   double max_distance() const override { return 1.0; }
@@ -144,16 +137,9 @@ class FunctionEval : public DomainEvalFunction {
       : DomainEvalFunction("fun:" + validator.name, Family::kFunction),
         validator_(validator) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     // Paper Eq. 4: returns-true -> 0, returns-false -> 1.
     return validator_.fn(value) ? 0.0 : 1.0;
-  }
-
-  void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out) const override {
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = validator_.fn(values[i]) ? 0.0 : 1.0;
-    }
   }
   double min_distance() const override { return 0.0; }
   double max_distance() const override { return 1.0; }
@@ -173,17 +159,10 @@ class RandomHashEval : public DomainEvalFunction {
       : DomainEvalFunction("hash:" + std::to_string(seed), Family::kHash),
         seed_(seed) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     // A hash function maps every value to an arbitrary number in [0, 1]:
     // it corresponds to no meaningful domain (paper Section 6.5).
     return util::HashToUnitDouble(util::Fnv64Seeded(value, seed_));
-  }
-
-  void BatchDistance(std::span<const std::string_view> values,
-                     std::span<double> out) const override {
-    for (size_t i = 0; i < values.size(); ++i) {
-      out[i] = util::HashToUnitDouble(util::Fnv64Seeded(values[i], seed_));
-    }
   }
   double min_distance() const override { return 0.0; }
   double max_distance() const override { return 1.0; }

@@ -237,21 +237,6 @@ uint64_t FailpointRegistry::fires(std::string_view name) const {
   return it == points_.end() ? 0 : it->second.fires->value();
 }
 
-std::string FailpointRegistry::StatsString() const {
-  MutexLock lock(&mu_);
-  std::string out = "failpoints:";
-  bool any = false;
-  for (const auto& [fp, point] : points_) {
-    if (!point.armed && point.fires->value() == 0) continue;
-    any = true;
-    out += " " + fp +
-           " evals=" + std::to_string(point.evaluations->value()) +
-           " fires=" + std::to_string(point.fires->value());
-  }
-  if (!any) out += " (none armed)";
-  return out;
-}
-
 Status InjectedFault(StatusCode code, std::string_view name) {
   return Status(code,
                 "injected fault at failpoint '" + std::string(name) + "'");

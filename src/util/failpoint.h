@@ -119,9 +119,6 @@ class FailpointRegistry {
   uint64_t evaluations(std::string_view name) const AT_EXCLUDES(mu_);
   uint64_t fires(std::string_view name) const AT_EXCLUDES(mu_);
 
-  /// "failpoints: csv.open evals=12 fires=1, ..." (armed or fired only).
-  std::string StatsString() const AT_EXCLUDES(mu_);
-
  private:
   FailpointRegistry();
 

@@ -146,36 +146,6 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string FormatMetricsText(const std::vector<MetricValue>& values) {
-  std::ostringstream os;
-  for (const MetricValue& m : values) {
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        os << m.name << " " << m.counter << "\n";
-        break;
-      case MetricKind::kGauge:
-        os << m.name << " " << FormatDouble(m.gauge) << "\n";
-        break;
-      case MetricKind::kHistogram: {
-        os << m.name << " count=" << m.histogram.count
-           << " sum=" << FormatDouble(m.histogram.sum) << " buckets=[";
-        for (size_t i = 0; i < m.histogram.buckets.size(); ++i) {
-          if (i > 0) os << " ";
-          if (i < m.histogram.bounds.size()) {
-            os << "le" << FormatDouble(m.histogram.bounds[i]) << ":"
-               << m.histogram.buckets[i];
-          } else {
-            os << "inf:" << m.histogram.buckets[i];
-          }
-        }
-        os << "]\n";
-        break;
-      }
-    }
-  }
-  return os.str();
-}
-
 std::string FormatMetricsJson(const std::vector<MetricValue>& values,
                               std::string_view source) {
   std::ostringstream os;
@@ -307,8 +277,6 @@ std::vector<MetricValue> Registry::Snapshot() const {
   }
   return out;
 }
-
-std::string Registry::FormatText() const { return FormatMetricsText(Snapshot()); }
 
 std::string Registry::FormatJson(std::string_view source) const {
   return FormatMetricsJson(Snapshot(), source);

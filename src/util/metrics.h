@@ -282,9 +282,6 @@ bool IsValidMetricName(std::string_view name);
 /// JSON string-escaping used by the serializer ('"', '\\', control chars).
 std::string JsonEscape(std::string_view s);
 
-/// One line per metric: `name value` (histograms render count/sum/buckets).
-std::string FormatMetricsText(const std::vector<MetricValue>& values);
-
 /// The shared JSON document shape:
 ///   {"schema":"autotest.metrics.v1","source":"...","metrics":[...]}
 /// One metric object per line; non-finite doubles serialize as null so
@@ -316,7 +313,6 @@ class Registry {
   /// Relaxed-load copies of every metric, ordered by name.
   std::vector<MetricValue> Snapshot() const AT_EXCLUDES(mu_);
 
-  std::string FormatText() const;
   std::string FormatJson(std::string_view source) const;
 
   /// Zeroes every value but keeps all registrations (tests only;

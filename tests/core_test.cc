@@ -22,7 +22,7 @@ namespace {
 class LengthEval : public typedet::DomainEvalFunction {
  public:
   LengthEval() : DomainEvalFunction("test:length", typedet::Family::kCta) {}
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     return std::min(1.0, static_cast<double>(value.size()) / 10.0);
   }
   double min_distance() const override { return 0.0; }
@@ -336,8 +336,8 @@ struct CountingBackend {
 };
 
 // Reads one column of a CountingBackend's rows as its distance. With
-// `shared` false it reports no backend, so callers score it through the
-// default BatchDistance loop over Distance instead.
+// `shared` false it reports no backend, so callers score it value by
+// value through Distance instead.
 class CountingEval : public typedet::DomainEvalFunction {
  public:
   CountingEval(std::string id, CountingBackend* backend, size_t column,
@@ -347,7 +347,7 @@ class CountingEval : public typedet::DomainEvalFunction {
         column_(column),
         shared_(shared) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     float row[CountingBackend::kWidth];
     CountingBackend::Row(value, row);
     return static_cast<double>(row[column_]);

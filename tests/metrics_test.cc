@@ -195,15 +195,6 @@ TEST(SerializationTest, GaugeValuesRoundTripExactly) {
   }
 }
 
-TEST(SerializationTest, TextFormatOneLinePerMetric) {
-  MetricValue c;
-  c.name = "test.text_counter";
-  c.kind = MetricKind::kCounter;
-  c.counter = 42;
-  std::string text = FormatMetricsText({c});
-  EXPECT_NE(text.find("test.text_counter 42"), std::string::npos) << text;
-}
-
 TEST(RegistryTest, ConcurrentIncrementsSumExactly) {
   Registry& reg = Registry::Global();
   Counter& c = reg.GetCounter("test.concurrent_counter");

@@ -287,17 +287,16 @@ TEST(TrainingDeterminismTest, IdenticalModelAcrossThreadCounts) {
   EXPECT_EQ(s1.lp_objective, s8.lp_objective);
 }
 
-// An eval function that deliberately has NO BatchDistance override, so the
-// trainer's columnar path must route it through the base-class fallback
-// loop (scalar Distance per value). Deterministic and cheap: the share of
-// digit characters separates numeric-looking values from words, so the
-// family trains rules of its own.
+// A user-defined eval function with no backend, so the trainer's columnar
+// path scores it value by value through Distance. Deterministic and
+// cheap: the share of digit characters separates numeric-looking values
+// from words, so the family trains rules of its own.
 class ScalarOnlyEval : public typedet::DomainEvalFunction {
  public:
   ScalarOnlyEval()
       : DomainEvalFunction("test:scalar-only", typedet::Family::kFunction) {}
 
-  double Distance(const std::string& value) const override {
+  double Distance(std::string_view value) const override {
     if (value.empty()) return 0.0;
     size_t digits = static_cast<size_t>(
         std::count_if(value.begin(), value.end(),
@@ -312,10 +311,10 @@ class ScalarOnlyEval : public typedet::DomainEvalFunction {
 // The columnar trainer (DESIGN.md §4k) must produce a model byte-identical
 // to the scalar reference trainer in tests/reference_trainer.cc, which is
 // written from the paper's definitions: distinct counts weight the same
-// threshold grids, BatchDistance overrides are bit-identical to Distance,
-// and detection order is preserved. Swept over thread counts, with a
-// registered eval function that lacks a BatchDistance override so the
-// base-class fallback is exercised alongside the vectorized families.
+// threshold grids, backend rows are bit-identical to Distance, and
+// detection order is preserved. Swept over thread counts, with a
+// registered user-defined eval function scored through Distance alongside
+// the built-in families.
 TEST(TrainingDeterminismTest, ColumnarPathMatchesScalarReference) {
   auto corpus =
       datagen::GenerateCorpus(datagen::RelationalTablesProfile(800));

@@ -64,10 +64,10 @@ TrainedModel ReferenceTrainAutoTest(const table::Corpus& corpus,
     if (!eval.binary()) {
       d_ins.clear();
       d_outs.clear();
-      for (double f : options.d_in_fracs) {
+      for (double f : kDInFracs) {
         d_ins.push_back(f * eval.max_distance());
       }
-      for (double f : options.d_out_fracs) {
+      for (double f : kDOutFracs) {
         d_outs.push_back(f * eval.max_distance());
       }
     }

@@ -218,7 +218,7 @@ TEST_F(RobustnessTest, PredictorDegradesOnUnservableRules) {
   table::Column col;
   col.name = "c";
   col.values = {"a", "b", "c", "d", "e"};
-  auto detections = predictor.TryPredict(col);
+  auto detections = predictor.TryPredict(col, PredictBudget{});
   EXPECT_TRUE(detections.ok());
 }
 
@@ -284,12 +284,12 @@ TEST_F(RobustnessTest, PredictorFailpointSurfacesAsError) {
   col.values = {"6/1/2022", "6/2/2022", "junk"};
 
   ASSERT_TRUE(reg.Configure("predictor.column=on").ok());
-  auto r = predictor.TryPredict(col);
+  auto r = predictor.TryPredict(col, PredictBudget{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kResourceExhausted);
   EXPECT_GE(reg.fires(util::kFpPredictorColumn), 1u);
   reg.Disarm();
-  EXPECT_TRUE(predictor.TryPredict(col).ok());
+  EXPECT_TRUE(predictor.TryPredict(col, PredictBudget{}).ok());
 }
 
 TEST_F(RobustnessTest, TrainerFailpointDegradesGracefully) {

@@ -310,23 +310,19 @@ TEST(EvalFunctionSetTest, RandomHashInjection) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch parity: for every function in a full eval set, BatchDistance must
-// be bit-identical to the scalar Distance virtual at every block size, and
-// so must the rows leg — for a function with a backend, DistanceFromRows
-// over the rows its backend computed (ComputeBackendRows, called on the
-// first function of that backend, as the trainer does). This is the
+// Rows parity: for every function with a backend in a full eval set,
+// DistanceFromRows over the rows its backend computed (ComputeBackendRows,
+// called on the first function of that backend, as the trainer does) must
+// be bit-identical to the scalar Distance at every block size. This is the
 // contract the trainer's columnar pass and the predictor's shared rows
 // rely on (DESIGN.md §4k). 256 is the trainer's block; 1 and 37 cut the
 // pool into blocks the trainer never sees.
 // ---------------------------------------------------------------------------
 
-TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
-  // 40 columns: the smallest profile whose mined patterns are non-empty,
-  // so the sweep really covers all five families.
+TEST(EvalFunctionTest, BackendRowsMatchScalarDistance) {
   auto corpus = datagen::GenerateCorpus(datagen::RelationalTablesProfile(40));
   EvalFunctionSetOptions opt;
   opt.embedding_centroids_per_model = 5;
-  opt.num_random_hash = 2;
   auto set = EvalFunctionSet::Build(corpus, opt);
   const table::ColumnStore store = table::ColumnStore::FromCorpus(corpus);
   const std::span<const std::string_view> pool = store.pool();
@@ -339,45 +335,32 @@ TEST(EvalFunctionTest, BatchDistanceMatchesScalarAcrossFamilies) {
     SCOPED_TRACE("block=" + std::to_string(block));
     // Each backend's rows per block, computed by its first function.
     std::map<const void*, std::vector<BackendRows>> rows_of;
-    bool saw_family[5] = {false, false, false, false, false};
     size_t rows_checked = 0;
-    std::vector<double> batched(n);
     std::vector<double> from_rows(n);
     for (const auto& f : set.functions()) {
-      saw_family[static_cast<size_t>(f->family())] = true;
-      std::vector<BackendRows>* rows = nullptr;
-      if (f->backend() != nullptr) {
-        auto [it, first] = rows_of.try_emplace(f->backend());
-        rows = &it->second;
-        if (first) {
-          for (size_t off = 0; off < n; off += block) {
-            rows->emplace_back();
-            f->ComputeBackendRows(pool.subspan(off, std::min(block, n - off)),
-                                  &rows->back());
-          }
+      if (f->backend() == nullptr) continue;
+      auto [it, first] = rows_of.try_emplace(f->backend());
+      std::vector<BackendRows>& rows = it->second;
+      if (first) {
+        for (size_t off = 0; off < n; off += block) {
+          rows.emplace_back();
+          f->ComputeBackendRows(pool.subspan(off, std::min(block, n - off)),
+                                &rows.back());
         }
       }
       for (size_t off = 0; off < n; off += block) {
         size_t len = std::min(block, n - off);
-        f->BatchDistance(pool.subspan(off, len),
-                         std::span<double>(batched).subspan(off, len));
-        if (rows != nullptr) {
-          f->DistanceFromRows((*rows)[off / block],
-                              std::span<double>(from_rows).subspan(off, len));
-        }
+        f->DistanceFromRows(rows[off / block],
+                            std::span<double>(from_rows).subspan(off, len));
       }
       for (size_t i = 0; i < n; ++i) {
-        double scalar = f->Distance(std::string(pool[i]));
-        ASSERT_EQ(batched[i], scalar) << f->id() << " value " << pool[i];
-        if (rows != nullptr) {
-          ASSERT_EQ(from_rows[i], scalar) << f->id() << " value " << pool[i];
-        }
+        ASSERT_EQ(from_rows[i], f->Distance(pool[i]))
+            << f->id() << " value " << pool[i];
       }
-      if (rows != nullptr) ++rows_checked;
+      ++rows_checked;
     }
-    for (bool seen : saw_family) EXPECT_TRUE(seen);
     // Two zoos and two embedding models back the CTA and embedding
-    // families; every one of their functions took the rows leg.
+    // families, and every one of their functions took the rows leg.
     EXPECT_EQ(rows_of.size(), 4u);
     EXPECT_EQ(rows_checked, set.FamilyFunctions(Family::kCta).size() +
                                 set.FamilyFunctions(Family::kEmbedding).size());

@@ -7,11 +7,13 @@
 //   autotest serve --rules rules.sdc --port N     (long-lived daemon)
 //   autotest query data.csv --port N              (client for serve)
 //
-// Rule files record the training recipe (corpus profile, sizes, shard
-// count) in a side header so `check` can rebuild the matching evaluation
-// functions. When training degraded to a shard quorum (lost shards under
-// faults), the recipe also records which shards were lost and why, so
-// `check` rebuilds the exact same degraded corpus instead of silently
+// Only `train` and `check` without `--rules` train. Rule files record the
+// training recipe (corpus profile, sizes, shard count) in a side header,
+// and `check --rules`, `rules` and `serve` rebuild from it the corpus and
+// the evaluation functions the rules resolve against, without training.
+// When training degraded to a shard quorum (lost shards under faults),
+// the recipe also records which shards were lost and why, so the rebuild
+// reproduces the exact same degraded corpus instead of silently
 // unresolving every rule.
 //
 // Transient I/O failures (kIoError / kResourceExhausted, including injected
@@ -332,6 +334,8 @@ datagen::CorpusProfile ProfileFor(const Recipe& r) {
 /// them required — so the rebuilt corpus is byte-identical to the one the
 /// rules were trained on. Otherwise all shards are generated under
 /// `quorum`, and `report` records any degradation for the caller to stamp.
+/// Prints the shard report when anything noteworthy (retries or lost
+/// shards) happened.
 [[nodiscard]] Result<table::Corpus> TryBuildCorpus(
     const Recipe& r, const util::RetryPolicy& retry, double quorum,
     table::ShardLoadReport* report) {
@@ -356,8 +360,24 @@ datagen::CorpusProfile ProfileFor(const Recipe& r) {
         .GetCounter(metrics::kMShardDegradedLoads)
         .Increment();
   }
-  return datagen::TryGenerateCorpusSharded(ProfileFor(r), r.shards, options,
-                                           report, include);
+  auto corpus = datagen::TryGenerateCorpusSharded(ProfileFor(r), r.shards,
+                                                  options, report, include);
+  if (report->degraded() || report->total_retries > 0) {
+    std::fprintf(stderr, "%s\n", report->Summary().c_str());
+  }
+  if (!corpus.ok()) {
+    return Status(corpus.status()).WithContext("building training corpus");
+  }
+  return corpus;
+}
+
+/// The evaluation-function options a recipe implies. Training and the
+/// rebuild for deployment both read them, so the functions a rule file
+/// names are the ones it was trained against.
+typedet::EvalFunctionSetOptions EvalOptionsFor(const Recipe& r) {
+  typedet::EvalFunctionSetOptions options;
+  options.embedding_centroids_per_model = r.centroids;
+  return options;
 }
 
 [[nodiscard]] Result<core::AutoTest> TryTrainOnCorpus(const Recipe& r,
@@ -365,7 +385,7 @@ datagen::CorpusProfile ProfileFor(const Recipe& r) {
   std::fprintf(stderr, "training on %s corpus (%zu columns, %zu shards)...\n",
                r.corpus.c_str(), corpus.size(), r.shards);
   core::AutoTestConfig config;
-  config.eval_options.embedding_centroids_per_model = r.centroids;
+  config.eval_options = EvalOptionsFor(r);
   config.train_options.synthetic_count = r.synthetic;
   core::AutoTest at = core::AutoTest::Train(corpus, config);
   size_t skipped = at.model().evals_skipped;
@@ -384,21 +404,40 @@ datagen::CorpusProfile ProfileFor(const Recipe& r) {
   return at;
 }
 
-/// Corpus build + train, honoring degraded provenance. Prints the shard
-/// report when anything noteworthy (retries or lost shards) happened.
+/// Corpus build + train, honoring degraded provenance.
 [[nodiscard]] Result<core::AutoTest> TryTrainFromRecipe(
-    const Recipe& r, const util::RetryPolicy& retry, double quorum = 1.0,
-    table::ShardLoadReport* report_out = nullptr) {
+    const Recipe& r, const util::RetryPolicy& retry, double quorum,
+    table::ShardLoadReport* report) {
+  AT_ASSIGN_OR_RETURN(table::Corpus corpus,
+                      TryBuildCorpus(r, retry, quorum, report));
+  return TryTrainOnCorpus(r, std::move(corpus));
+}
+
+/// The evaluation functions the rules in `rules_path` resolve against,
+/// rebuilt from the rule file's recipe without training. A missing recipe
+/// falls back to the default; a corrupt or unreadable one is a hard error
+/// (it would rebuild the wrong functions and silently unresolve every
+/// rule); degraded provenance rebuilds the same masked corpus.
+[[nodiscard]] Result<typedet::EvalFunctionSet> TryBuildRuleEvals(
+    const std::string& rules_path, const util::RetryPolicy& retry) {
+  Recipe recipe;
+  auto loaded = util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
+                                [&] { return TryLoadRecipe(rules_path); });
+  if (loaded.ok()) {
+    recipe = *loaded;
+  } else if (loaded.status().code() != StatusCode::kNotFound) {
+    return loaded.status();
+  }
+  if (!recipe.lost.empty()) {
+    std::fprintf(stderr,
+                 "note: rules were trained in degraded mode (%zu/%zu shards "
+                 "lost); rebuilding that corpus\n",
+                 recipe.lost.size(), recipe.shards);
+  }
   table::ShardLoadReport report;
-  auto corpus = TryBuildCorpus(r, retry, quorum, &report);
-  if (report.degraded() || report.total_retries > 0) {
-    std::fprintf(stderr, "%s\n", report.Summary().c_str());
-  }
-  if (report_out != nullptr) *report_out = report;
-  if (!corpus.ok()) {
-    return Status(corpus.status()).WithContext("building training corpus");
-  }
-  return TryTrainOnCorpus(r, std::move(*corpus));
+  AT_ASSIGN_OR_RETURN(table::Corpus corpus,
+                      TryBuildCorpus(recipe, retry, /*quorum=*/1.0, &report));
+  return typedet::EvalFunctionSet::Build(corpus, EvalOptionsFor(recipe));
 }
 
 // Exception-free size parse; the CLI must not terminate on `--columns xyz`.
@@ -509,17 +548,19 @@ int CmdTrain(int argc, char** argv) {
   size_t columns_skipped = 0;
   for (const auto& column : table->columns) {
     if (table::IsMostlyNumeric(column)) continue;
-    auto detections = predictor.TryPredict(column);
-    if (!detections.ok()) {
+    // An empty budget gates nothing; TryPredict still honours the
+    // predictor.column failpoint.
+    auto prediction = predictor.TryPredict(column, core::PredictBudget{});
+    if (!prediction.ok()) {
       // Column-level degradation: report, count, move on — one poisoned
       // column must not take down the whole table.
       std::fprintf(stderr, "warning: skipping column '%s': %s\n",
                    column.name.c_str(),
-                   detections.status().ToString().c_str());
+                   prediction.status().ToString().c_str());
       ++columns_skipped;
       continue;
     }
-    for (const auto& d : *detections) {
+    for (const auto& d : prediction->detections) {
       ++total;
       std::fprintf(g_report, "%s:%zu  \"%s\"  conf=%.2f\n    %s\n",
                    column.name.c_str(), d.row + 2, d.value.c_str(),
@@ -565,38 +606,19 @@ int CmdCheck(int argc, char** argv) {
   }
   const util::RetryPolicy retry = CliRetryPolicy(max_retries);
 
-  Recipe recipe;
-  if (!rules_path.empty()) {
-    auto loaded_recipe =
-        util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
-                        [&] { return TryLoadRecipe(rules_path); });
-    if (loaded_recipe.ok()) {
-      recipe = *loaded_recipe;
-    } else if (loaded_recipe.status().code() != StatusCode::kNotFound) {
-      // A missing recipe falls back to the default; a corrupt or
-      // unreadable one is a hard error (it would rebuild the wrong
-      // evaluation functions and silently unresolve every rule).
-      return Fail(loaded_recipe.status());
-    }
-  } else {
-    recipe.columns = 1500;  // quick in-process training
-  }
-  if (!recipe.lost.empty()) {
-    std::fprintf(stderr,
-                 "note: rules were trained in degraded mode (%zu/%zu shards "
-                 "lost); rebuilding that corpus\n",
-                 recipe.lost.size(), recipe.shards);
-  }
-  auto at = TryTrainFromRecipe(recipe, retry);
-  if (!at.ok()) return Fail(at.status());
-
+  // The rules point into evaluation functions one of these owns: the
+  // functions rebuilt for a rule file, or a quick in-process model.
+  std::optional<typedet::EvalFunctionSet> evals;
+  std::optional<core::AutoTest> at;
   std::vector<core::Sdc> rules;
   if (!rules_path.empty()) {
+    auto built = TryBuildRuleEvals(rules_path, retry);
+    if (!built.ok()) return Fail(built.status());
+    evals.emplace(std::move(*built));
     size_t unresolved = 0;
     auto loaded =
         util::RetryCall(retry, util::RealClock(), /*stream=*/1004, [&] {
-          return core::TryLoadRulesFromFile(rules_path, at->evals(),
-                                            &unresolved);
+          return core::TryLoadRulesFromFile(rules_path, *evals, &unresolved);
         });
     if (!loaded.ok()) return Fail(loaded.status());
     if (unresolved > 0) {
@@ -605,8 +627,13 @@ int CmdCheck(int argc, char** argv) {
     }
     rules = std::move(*loaded);
   } else {
-    auto sel = at->Select(core::Variant::kFineSelect);
-    for (size_t i : sel.selected) {
+    Recipe recipe;
+    recipe.columns = 1500;  // quick in-process training
+    table::ShardLoadReport report;
+    auto trained = TryTrainFromRecipe(recipe, retry, /*quorum=*/1.0, &report);
+    if (!trained.ok()) return Fail(trained.status());
+    at.emplace(std::move(*trained));
+    for (size_t i : at->Select(core::Variant::kFineSelect).selected) {
       rules.push_back(at->model().constraints[i]);
     }
   }
@@ -663,29 +690,6 @@ int64_t FileMtime(const std::string& path) {
   struct stat st{};
   if (::stat(path.c_str(), &st) != 0) return -1;
   return static_cast<int64_t>(st.st_mtime);
-}
-
-/// Trains the serving-side evaluation functions from the rules file's
-/// recipe (mirroring `check`: a missing recipe falls back to the default,
-/// a corrupt one is a hard error).
-[[nodiscard]] Result<core::AutoTest> TryBuildServingModel(
-    const std::string& rules_path, const util::RetryPolicy& retry) {
-  Recipe recipe;
-  auto loaded_recipe =
-      util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
-                      [&] { return TryLoadRecipe(rules_path); });
-  if (loaded_recipe.ok()) {
-    recipe = *loaded_recipe;
-  } else if (loaded_recipe.status().code() != StatusCode::kNotFound) {
-    return loaded_recipe.status();
-  }
-  if (!recipe.lost.empty()) {
-    std::fprintf(stderr,
-                 "note: rules were trained in degraded mode (%zu/%zu shards "
-                 "lost); rebuilding that corpus\n",
-                 recipe.lost.size(), recipe.shards);
-  }
-  return TryTrainFromRecipe(recipe, retry);
 }
 
 int CmdServe(int argc, char** argv) {
@@ -806,10 +810,10 @@ int CmdServe(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   const util::RetryPolicy retry = CliRetryPolicy(max_retries);
-  auto at = TryBuildServingModel(rules_path, retry);
-  if (!at.ok()) return Fail(at.status());
+  auto evals = TryBuildRuleEvals(rules_path, retry);
+  if (!evals.ok()) return Fail(evals.status());
 
-  serve::SnapshotStore store(&at->evals(), rules_path);
+  serve::SnapshotStore store(&*evals, rules_path);
   Status loaded = util::RetryCall(retry, util::RealClock(), /*stream=*/1005,
                                   [&] { return store.TryReload(); });
   if (!loaded.ok()) {
@@ -1047,20 +1051,11 @@ int CmdRules(int argc, char** argv) {
   }
   std::string rules_path = argv[0];
   const util::RetryPolicy retry = CliRetryPolicy(3);
-  Recipe recipe;
-  auto loaded_recipe =
-      util::RetryCall(retry, util::RealClock(), /*stream=*/1003,
-                      [&] { return TryLoadRecipe(rules_path); });
-  if (loaded_recipe.ok()) {
-    recipe = *loaded_recipe;
-  } else if (loaded_recipe.status().code() != StatusCode::kNotFound) {
-    return Fail(loaded_recipe.status());
-  }
-  auto at = TryTrainFromRecipe(recipe, retry);
-  if (!at.ok()) return Fail(at.status());
+  auto evals = TryBuildRuleEvals(rules_path, retry);
+  if (!evals.ok()) return Fail(evals.status());
   size_t unresolved = 0;
   auto rules = util::RetryCall(retry, util::RealClock(), /*stream=*/1004, [&] {
-    return core::TryLoadRulesFromFile(rules_path, at->evals(), &unresolved);
+    return core::TryLoadRulesFromFile(rules_path, *evals, &unresolved);
   });
   if (!rules.ok()) return Fail(rules.status());
   for (const auto& r : *rules) {

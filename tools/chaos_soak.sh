@@ -12,7 +12,11 @@
 #      must succeed degraded and stamp lost-shard provenance into the
 #      recipe, and check must accept the degraded rules;
 #   3. permanent injection above the quorum: train must fail fast with the
-#      structured invalid-input exit code, without burning retries.
+#      structured invalid-input exit code, without burning retries;
+#   4. deployment trains nothing: on a model with embedding rules, `rules`
+#      must resolve every rule against the evaluation functions rebuilt
+#      from the recipe, and neither its --metrics-dump nor that of
+#      `check --rules` may carry a trainer.* metric.
 #
 # A second mode soaks the serving tier (DESIGN.md §4h): a long-lived
 # `autotest serve` daemon under injected accept/read/parse faults takes
@@ -141,6 +145,38 @@ grep -q 'after 1 attempt(s)' "$WORK/deadloss.err" \
 [ -e "$WORK/deadloss.sdc" ] && fail "failed train left a rules file behind"
 echo "chaos_soak: fast-fail scenario ok (DATA_LOSS, no retries)"
 
+# --- scenario 4: deployment trains nothing and resolves every rule ------
+
+# Large enough that the distilled rules include embedding rules, whose
+# eval ids name sampled centroids: they resolve only against functions
+# rebuilt from exactly the recipe's corpus and centroid count.
+"$AUTOTEST" train --columns 1500 --centroids 40 --synthetic 400 --shards 4 \
+    --out "$WORK/deploy.sdc" > /dev/null 2> "$WORK/deploy_train.err" \
+  || fail "deploy train exited $? ($(cat "$WORK/deploy_train.err"))"
+grep -q $'^rule\temb:' "$WORK/deploy.sdc" \
+  || fail "deploy model has no embedding rule to resolve"
+"$AUTOTEST" rules "$WORK/deploy.sdc" \
+    --metrics-dump "$WORK/deploy_rules_metrics.json" \
+    > "$WORK/deploy_rules.out" 2> "$WORK/deploy_rules.err" \
+  || fail "rules exited $? ($(cat "$WORK/deploy_rules.err"))"
+summary="$(tail -1 "$WORK/deploy_rules.out")"
+deployed="$(sed -n 's/^(\([0-9]*\) rules, 0 unresolved)$/\1/p' \
+  <<< "$summary")"
+[ -n "$deployed" ] && [ "$deployed" -gt 0 ] \
+  || fail "rules must resolve every rule of a fresh model, got '$summary'"
+"$AUTOTEST" check "$WORK/table.csv" --rules "$WORK/deploy.sdc" \
+    --metrics-dump "$WORK/deploy_check_metrics.json" \
+    > /dev/null 2> "$WORK/deploy_check.err" \
+  || fail "check --rules exited $? ($(cat "$WORK/deploy_check.err"))"
+for dump in deploy_rules_metrics.json deploy_check_metrics.json; do
+  grep -q '"schema":"autotest.metrics.v1"' "$WORK/$dump" \
+    || fail "$dump is not an autotest.metrics.v1 document"
+  grep -q '"name":"trainer\.' "$WORK/$dump" \
+    && fail "$dump carries trainer.* metrics: deployment trained a model"
+done
+echo "chaos_soak: deployment scenario ok ($deployed rules, 0 unresolved," \
+     "no trainer.* metrics)"
+
 }
 
 # --- serve soak (DESIGN.md §4h) -----------------------------------------
@@ -156,7 +192,8 @@ echo "chaos_soak: fast-fail scenario ok (DATA_LOSS, no retries)"
 # reason=circuit_open sheds; (5) SIGTERM — the daemon must drain, exit 0
 # and leave a parseable metrics dump whose serve.requests_shed /
 # serve.tenant_rejections / serve.breaker_* counters match what the
-# clients observed.
+# clients observed, and which carries no trainer.* metric (the daemon
+# rebuilds its evaluation functions without training).
 
 run_serve() {
 
@@ -361,6 +398,8 @@ grep -q '"schema":"autotest.metrics.v1"' "$WORK/serve_metrics.json" \
   || fail "serve: metrics dump is not an autotest.metrics.v1 document"
 grep -q '"name":"serve.requests"' "$WORK/serve_metrics.json" \
   || fail "serve: metrics dump lacks serve.requests"
+grep -q '"name":"trainer\.' "$WORK/serve_metrics.json" \
+  && fail "serve: metrics dump carries trainer.* metrics: the daemon trained"
 dumped_shed="$(sed -n \
   's/.*"name":"serve\.requests_shed","kind":"counter","value":\([0-9]*\).*/\1/p' \
   "$WORK/serve_metrics.json" | head -1)"
