@@ -34,8 +34,8 @@ int main() {
 
   // 2. Offline training: candidate generation + statistical tests +
   //    LP-based selection (this is the expensive, run-once part).
-  std::printf("Training Auto-Test (this builds CTA zoos, mines patterns, "
-              "runs statistical tests)...\n");
+  std::printf("Training Auto-Test (this loads the pre-trained CTA zoos, "
+              "mines patterns, runs statistical tests)...\n");
   AutoTestConfig config;
   config.train_options.synthetic_count = 600;
   AutoTest at = AutoTest::Train(corpus, config);

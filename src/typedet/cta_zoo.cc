@@ -45,12 +45,32 @@ std::vector<std::string> SampleNegatives(const std::string& own_domain,
   return out;
 }
 
+// Packs trained per-type classifiers into the transposed layout
+// ScoreAllTypes reads.
+PackedZooWeights Pack(const std::vector<ml::LogisticRegression>& models,
+                      size_t dim) {
+  const size_t nt = models.size();
+  PackedZooWeights packed;
+  packed.wt.assign(dim * nt, 0.0);
+  packed.biases.assign(nt, 0.0);
+  packed.trained.assign(nt, 0);
+  for (size_t t = 0; t < nt; ++t) {
+    if (!models[t].trained()) continue;  // scores 0.5 like Predict
+    AT_CHECK(models[t].dim() == dim);
+    packed.trained[t] = 1;
+    packed.biases[t] = models[t].bias();
+    const std::vector<double>& w = models[t].weights();
+    for (size_t j = 0; j < dim; ++j) packed.wt[j * nt + t] = w[j];
+  }
+  return packed;
+}
+
 }  // namespace
 
 std::unique_ptr<CtaModelZoo> CtaModelZoo::Train(const CtaZooConfig& config) {
   AT_CHECK(!config.type_names.empty());
-  auto zoo = std::unique_ptr<CtaModelZoo>(new CtaModelZoo(config));
-  zoo->models_.resize(config.type_names.size());
+  const ml::FeatureExtractor extractor(config.feature_config);
+  std::vector<ml::LogisticRegression> models(config.type_names.size());
 
   const auto& gaz = datagen::Gazetteer::Instance();
   // One classifier per chunk: training cost varies with domain size, so
@@ -96,57 +116,52 @@ std::unique_ptr<CtaModelZoo> CtaModelZoo::Train(const CtaZooConfig& config) {
     std::vector<int> y;
     x.reserve(positives.size() + negatives.size());
     for (const auto& v : positives) {
-      x.push_back(zoo->extractor_.Extract(v));
+      x.push_back(extractor.Extract(v));
       y.push_back(1);
     }
     for (const auto& v : negatives) {
-      x.push_back(zoo->extractor_.Extract(v));
+      x.push_back(extractor.Extract(v));
       y.push_back(0);
     }
     ml::LogRegConfig train = config.train_config;
     train.seed = config.seed ^ (t * 0x9e37ULL);
-    zoo->models_[t].Train(x, y, train);
+    models[t].Train(x, y, train);
   }, par_opt);
-  zoo->PackWeights();
-  return zoo;
+  return FromWeights(config, Pack(models, extractor.dim()));
 }
 
-void CtaModelZoo::PackWeights() {
-  const size_t nt = models_.size();
-  const size_t dim = extractor_.dim();
-  wt_.assign(dim * nt, 0.0);
-  biases_.assign(nt, 0.0);
-  trained_.assign(nt, 0);
-  for (size_t t = 0; t < nt; ++t) {
-    if (!models_[t].trained()) continue;  // scores 0.5 like Predict
-    AT_CHECK(models_[t].dim() == dim);
-    trained_[t] = 1;
-    biases_[t] = models_[t].bias();
-    const std::vector<double>& w = models_[t].weights();
-    for (size_t j = 0; j < dim; ++j) wt_[j * nt + t] = w[j];
-  }
+std::unique_ptr<CtaModelZoo> CtaModelZoo::FromWeights(
+    CtaZooConfig config, PackedZooWeights weights) {
+  const size_t nt = config.type_names.size();
+  const size_t dim = ml::FeatureExtractor(config.feature_config).dim();
+  AT_CHECK(weights.wt.size() == dim * nt);
+  AT_CHECK(weights.biases.size() == nt);
+  AT_CHECK(weights.trained.size() == nt);
+  return std::unique_ptr<CtaModelZoo>(
+      new CtaModelZoo(std::move(config), std::move(weights)));
 }
 
 void CtaModelZoo::ScoreAllTypes(const std::vector<float>& features,
                                 std::vector<float>* scores) const {
-  const size_t nt = models_.size();
+  const size_t nt = num_types();
   const size_t dim = extractor_.dim();
   AT_CHECK(features.size() == dim);
-  std::vector<double> acc(biases_);
+  std::vector<double> acc(weights_.biases);
   for (size_t j = 0; j < dim; ++j) {
     const double xj = static_cast<double>(features[j]);
-    const double* row = &wt_[j * nt];
+    const double* row = &weights_.wt[j * nt];
     for (size_t t = 0; t < nt; ++t) acc[t] += row[t] * xj;
   }
   scores->resize(nt);
   for (size_t t = 0; t < nt; ++t) {
-    (*scores)[t] =
-        trained_[t] != 0 ? static_cast<float>(ml::Sigmoid(acc[t])) : 0.5f;
+    (*scores)[t] = weights_.trained[t] != 0
+                       ? static_cast<float>(ml::Sigmoid(acc[t]))
+                       : 0.5f;
   }
 }
 
 double CtaModelZoo::Score(size_t type_index, const std::string& value) const {
-  AT_CHECK(type_index < models_.size());
+  AT_CHECK(type_index < num_types());
   {
     util::MutexLock lock(&cache_mu_);
     auto it = score_cache_.find(value);
@@ -166,7 +181,7 @@ double CtaModelZoo::Score(size_t type_index, const std::string& value) const {
 
 void CtaModelZoo::ScoreRows(std::span<const std::string_view> values,
                             float* out) const {
-  const size_t nt = models_.size();
+  const size_t nt = num_types();
   std::vector<size_t> misses;
   {
     util::MutexLock lock(&cache_mu_);
@@ -195,7 +210,7 @@ void CtaModelZoo::ScoreRows(std::span<const std::string_view> values,
   }
 }
 
-std::unique_ptr<CtaModelZoo> TrainSherlockSim() {
+CtaZooConfig SherlockSimConfig() {
   const auto& gaz = datagen::Gazetteer::Instance();
   std::vector<std::string> all =
       gaz.DomainNames(datagen::DomainKind::kNaturalLanguage);
@@ -209,10 +224,10 @@ std::unique_ptr<CtaModelZoo> TrainSherlockSim() {
   config.feature_config.seed = 0x5e1;
   config.train_config.epochs = 25;
   config.seed = 0x5e1f00d;
-  return CtaModelZoo::Train(config);
+  return config;
 }
 
-std::unique_ptr<CtaModelZoo> TrainDoduoSim() {
+CtaZooConfig DoduoSimConfig() {
   const auto& gaz = datagen::Gazetteer::Instance();
   CtaZooConfig config;
   config.name = "doduo-sim";
@@ -221,21 +236,7 @@ std::unique_ptr<CtaModelZoo> TrainDoduoSim() {
   config.feature_config.seed = 0xd0d;
   config.train_config.epochs = 25;
   config.seed = 0xd0d0f00d;
-  return CtaModelZoo::Train(config);
-}
-
-std::shared_ptr<CtaModelZoo> SharedSherlockSim() {
-  // Leaky magic static: the zoo is a pure function of its fixed config, so
-  // one process-wide instance (with its warm score cache) serves every
-  // EvalFunctionSet::Build.
-  static const auto& zoo =
-      *new std::shared_ptr<CtaModelZoo>(TrainSherlockSim());
-  return zoo;
-}
-
-std::shared_ptr<CtaModelZoo> SharedDoduoSim() {
-  static const auto& zoo = *new std::shared_ptr<CtaModelZoo>(TrainDoduoSim());
-  return zoo;
+  return config;
 }
 
 }  // namespace autotest::typedet

@@ -28,16 +28,33 @@ struct CtaZooConfig {
   uint64_t seed = 1;
 };
 
+/// A zoo's per-type classifiers packed for all-type scoring.
+struct PackedZooWeights {
+  /// Transposed weights: wt[j * num_types + t] is type t's weight on
+  /// feature j.
+  std::vector<double> wt;
+  std::vector<double> biases;
+  /// 0 marks a type without a trained classifier; it scores 0.5.
+  std::vector<uint8_t> trained;
+};
+
 /// A zoo of per-type binary classifiers (CTA as per the paper's Section 3:
 /// multi-class CTA viewed as one binary classifier per type). Classifiers
-/// are trained in-process on gazetteer *head* values, which reproduces the
-/// real-world miscalibration on rare values: a valid-but-uncommon member
-/// can score low even when the column-level (macro) prediction is right.
+/// are trained on gazetteer *head* values, which reproduces the real-world
+/// miscalibration on rare values: a valid-but-uncommon member can score
+/// low even when the column-level (macro) prediction is right.
 class CtaModelZoo {
  public:
   /// Trains all classifiers (parallelized over types). Deterministic in
-  /// the config seed.
+  /// the config seed. Products score with the pre-trained zoos of
+  /// typedet/shipped_zoos.h; only the build-time generator that produces
+  /// their weights and the test that checks them train.
   static std::unique_ptr<CtaModelZoo> Train(const CtaZooConfig& config);
+
+  /// A zoo scoring with already-trained weights, sized for the config's
+  /// types and feature dim.
+  static std::unique_ptr<CtaModelZoo> FromWeights(CtaZooConfig config,
+                                                  PackedZooWeights weights);
 
   /// P(value belongs to type) in [0, 1]. Scores for all types of a value
   /// are computed on first use and memoized (feature extraction dominates
@@ -56,10 +73,14 @@ class CtaModelZoo {
     return config_.type_names;
   }
   size_t num_types() const { return config_.type_names.size(); }
+  size_t feature_dim() const { return extractor_.dim(); }
+  const PackedZooWeights& weights() const { return weights_; }
 
  private:
-  explicit CtaModelZoo(CtaZooConfig config)
-      : config_(std::move(config)), extractor_(config_.feature_config) {}
+  CtaModelZoo(CtaZooConfig config, PackedZooWeights weights)
+      : config_(std::move(config)),
+        extractor_(config_.feature_config),
+        weights_(std::move(weights)) {}
 
   /// All-type scores for one feature vector through the packed transposed
   /// weight matrix: feature-index outer, type inner, so every type's
@@ -70,17 +91,9 @@ class CtaModelZoo {
   void ScoreAllTypes(const std::vector<float>& features,
                      std::vector<float>* scores) const;
 
-  /// Packs models_ into wt_/biases_/trained_ after training.
-  void PackWeights();
-
   CtaZooConfig config_;
   ml::FeatureExtractor extractor_;
-  std::vector<ml::LogisticRegression> models_;
-
-  // Transposed weights: wt_[j * num_types + t] = models_[t].weights()[j].
-  std::vector<double> wt_;
-  std::vector<double> biases_;
-  std::vector<uint8_t> trained_;
+  PackedZooWeights weights_;
 
   // Transparent hashing so ScoreRows lookups by string_view need no
   // temporary std::string per probed value.
@@ -100,19 +113,11 @@ class CtaModelZoo {
       score_cache_ AT_GUARDED_BY(cache_mu_);
 };
 
-/// The two built-in zoos. Sherlock-sim covers a subset of NL domains
-/// (Sherlock: 78 DBpedia types); Doduo-sim covers all NL domains with a
-/// different feature space (Doduo: 121 Freebase types).
-std::unique_ptr<CtaModelZoo> TrainSherlockSim();
-std::unique_ptr<CtaModelZoo> TrainDoduoSim();
-
-/// Process-shared instances of the built-in zoos, trained once on first
-/// use. The zoos are pure functions of their fixed configs (gazetteer +
-/// seeds), so every EvalFunctionSet::Build can reuse one instance — and
-/// with it the warm per-value score cache — instead of retraining per
-/// corpus. Thread-safe (magic statics + internally synchronized caches).
-std::shared_ptr<CtaModelZoo> SharedSherlockSim();
-std::shared_ptr<CtaModelZoo> SharedDoduoSim();
+/// Configs of the two built-in zoos. Sherlock-sim covers a subset of NL
+/// domains (Sherlock: 78 DBpedia types); Doduo-sim covers all NL domains
+/// with a different feature space (Doduo: 121 Freebase types).
+CtaZooConfig SherlockSimConfig();
+CtaZooConfig DoduoSimConfig();
 
 }  // namespace autotest::typedet
 

@@ -5,6 +5,7 @@
 
 #include "pattern/miner.h"
 #include "table/column.h"
+#include "typedet/shipped_zoos.h"
 #include "util/check.h"
 #include "util/hashing.h"
 #include "util/rng.h"

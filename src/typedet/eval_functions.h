@@ -37,8 +37,9 @@ struct EvalFunctionSetOptions {
 /// embedding models). Movable, non-copyable.
 class EvalFunctionSet {
  public:
-  /// Builds the set: trains the CTA zoos, samples embedding centroids from
-  /// the corpus, mines corpus patterns, and wraps the validators.
+  /// Builds the set: wraps the pre-trained CTA zoos, samples embedding
+  /// centroids from the corpus, mines corpus patterns, and wraps the
+  /// validators.
   static EvalFunctionSet Build(const table::Corpus& corpus,
                                const EvalFunctionSetOptions& options = {});
 
@@ -65,7 +66,7 @@ class EvalFunctionSet {
   /// The CTA zoos backing the set (for baselines that need raw scores).
   /// Shared: the built-in zoos and embedding models are process-wide
   /// singletons (SharedSherlockSim etc.), so repeated Build calls reuse
-  /// trained models and warm value caches instead of starting cold.
+  /// one instance of each and its warm value cache.
   const std::vector<std::shared_ptr<CtaModelZoo>>& cta_zoos() const {
     return cta_zoos_;
   }

@@ -3,7 +3,7 @@
 #include "baselines/baselines.h"
 #include "datagen/corpus_gen.h"
 #include "embed/embedding.h"
-#include "typedet/cta_zoo.h"
+#include "typedet/shipped_zoos.h"
 
 namespace autotest::baselines {
 namespace {
@@ -128,7 +128,7 @@ TEST(LlmSimTest, VariantsDiffer) {
 }
 
 TEST(CtaZScoreTest, FlagsIncompatibleValue) {
-  auto zoo = typedet::TrainSherlockSim();
+  auto zoo = typedet::SharedSherlockSim();
   CtaZScoreDetector det("sherlock", zoo.get());
   table::Column c;
   c.name = "state";

@@ -51,6 +51,11 @@ TEST_F(IntegrationTest, FineSelectBeatsUncalibratedBaselines) {
   auto fine_rt = RunDetector(fine, *rt_, 1);
   EXPECT_GT(fine_rt.pr_auc, 0.25);
   EXPECT_GT(fine_rt.f1_at_p08, 0.3);
+  // Training, selection and scoring are deterministic, so the fixture's
+  // Table 4 quality is pinned exactly: a change that moves any learned
+  // rule, selection or score shows here, however slightly.
+  EXPECT_EQ(fine_rt.pr_auc, 0.58064516129032262);
+  EXPECT_EQ(fine_rt.f1_at_p08, 0.73469387755102045);
 
   baselines::KataraSim katara;
   auto katara_rt = RunDetector(katara, *rt_, 1);
@@ -76,6 +81,8 @@ TEST_F(IntegrationTest, GeneralizesAcrossBenchmarkStyles) {
   baselines::SdcDetector fine("fine-select", &pred);
   auto st = RunDetector(fine, *st_, 1);
   EXPECT_GT(st.pr_auc, 0.1);
+  EXPECT_EQ(st.pr_auc, 0.13073593073593073);
+  EXPECT_EQ(st.f1_at_p08, 0.086956521739130446);
 }
 
 TEST_F(IntegrationTest, SyntheticErrorInjectionRaisesRecallOpportunity) {

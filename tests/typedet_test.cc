@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "datagen/corpus_gen.h"
 #include "table/column_store.h"
 #include "typedet/cta_zoo.h"
 #include "typedet/eval_functions.h"
+#include "typedet/shipped_zoos.h"
 #include "typedet/validators.h"
 
 namespace autotest::typedet {
@@ -188,12 +193,9 @@ TEST(ValidatorsTest, RegistryComplete) {
 
 class CtaZooTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    sherlock_ = TrainSherlockSim().release();
-    doduo_ = TrainDoduoSim().release();
-  }
-  static CtaModelZoo* sherlock_;
-  static CtaModelZoo* doduo_;
+  // The pre-trained zoos the product ships.
+  const std::shared_ptr<CtaModelZoo> sherlock_ = SharedSherlockSim();
+  const std::shared_ptr<CtaModelZoo> doduo_ = SharedDoduoSim();
 
   static size_t TypeIndex(const CtaModelZoo& zoo, const std::string& name) {
     for (size_t i = 0; i < zoo.type_names().size(); ++i) {
@@ -203,9 +205,6 @@ class CtaZooTest : public ::testing::Test {
     return 0;
   }
 };
-
-CtaModelZoo* CtaZooTest::sherlock_ = nullptr;
-CtaModelZoo* CtaZooTest::doduo_ = nullptr;
 
 TEST_F(CtaZooTest, ZooSizes) {
   EXPECT_GT(doduo_->num_types(), sherlock_->num_types());
@@ -367,17 +366,40 @@ TEST(EvalFunctionTest, BackendRowsMatchScalarDistance) {
   }
 }
 
-TEST(SharedZooTest, ProcessSingletonsScoreLikeFresh) {
+void ExpectSameBits(const std::vector<double>& fresh,
+                    const std::vector<double>& shipped,
+                    const std::string& what) {
+  ASSERT_EQ(fresh.size(), shipped.size()) << what;
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(fresh[i]),
+              std::bit_cast<uint64_t>(shipped[i]))
+        << what << "[" << i << "]: " << fresh[i] << " vs " << shipped[i];
+  }
+}
+
+// The oracle for the weights the build compiles in, and the only test
+// that trains a zoo: training each built-in config afresh must reproduce
+// the shipped zoo's packed weights, biases and trained flags bit for bit.
+TEST(SharedZooTest, ShippedWeightsEqualFreshTraining) {
   EXPECT_EQ(SharedSherlockSim().get(), SharedSherlockSim().get());
   EXPECT_EQ(SharedDoduoSim().get(), SharedDoduoSim().get());
-  // The shared instance is trained from the same fixed config, so its
-  // scores match a freshly trained zoo exactly.
-  auto fresh = TrainSherlockSim();
-  auto shared = SharedSherlockSim();
-  ASSERT_EQ(fresh->num_types(), shared->num_types());
-  for (const std::string v : {"france", "seattle", "not-a-real-value"}) {
-    for (size_t t = 0; t < fresh->num_types(); t += 7) {
-      EXPECT_EQ(fresh->Score(t, v), shared->Score(t, v)) << v;
+  const std::pair<CtaZooConfig, std::shared_ptr<CtaModelZoo>> zoos[] = {
+      {SherlockSimConfig(), SharedSherlockSim()},
+      {DoduoSimConfig(), SharedDoduoSim()}};
+  for (const auto& [config, shipped] : zoos) {
+    SCOPED_TRACE(config.name);
+    const std::unique_ptr<CtaModelZoo> fresh = CtaModelZoo::Train(config);
+    EXPECT_EQ(shipped->name(), fresh->name());
+    ASSERT_EQ(shipped->type_names(), fresh->type_names());
+    ASSERT_EQ(shipped->feature_dim(), fresh->feature_dim());
+    ExpectSameBits(fresh->weights().wt, shipped->weights().wt, "wt");
+    ExpectSameBits(fresh->weights().biases, shipped->weights().biases,
+                   "biases");
+    EXPECT_EQ(fresh->weights().trained, shipped->weights().trained);
+    for (const std::string v : {"france", "seattle", "not-a-real-value"}) {
+      for (size_t t = 0; t < fresh->num_types(); t += 7) {
+        EXPECT_EQ(fresh->Score(t, v), shipped->Score(t, v)) << v;
+      }
     }
   }
 }
