@@ -28,8 +28,7 @@ const ml::FeatureExtractor& OutlierFeatures() {
 
 // Emits one ScoredCell per row whose z-score exceeds the cutoff.
 std::vector<eval::ScoredCell> FlagByZScore(
-    const table::Column& column, const std::vector<double>& row_distances,
-    double z_cutoff) {
+    const std::vector<double>& row_distances, double z_cutoff) {
   std::vector<double> z = stats::ZScores(row_distances);
   std::vector<eval::ScoredCell> out;
   for (size_t row = 0; row < z.size(); ++row) {
@@ -50,7 +49,7 @@ std::vector<eval::ScoredCell> FlagTopOutliers(
   for (size_t row = 0; row < column.values.size(); ++row) {
     row_scores[row] = score_of.at(column.values[row]);
   }
-  return FlagByZScore(column, row_scores, z_cutoff);
+  return FlagByZScore(row_scores, z_cutoff);
 }
 
 double DeterministicCoin(const std::string& column_key,
@@ -82,16 +81,21 @@ std::vector<eval::ScoredCell> CtaZScoreDetector::Detect(
     const table::Column& column) const {
   if (column.values.empty()) return {};
   table::DistinctValues distinct = table::Distinct(column);
+  const std::vector<std::string_view> views(distinct.values.begin(),
+                                            distinct.values.end());
+  const size_t nt = zoo_->num_types();
+  std::vector<float> rows(views.size() * nt);
+  zoo_->ScoreRows(views, rows.data());
   // Macro step: the best-matching type for the column.
   size_t best_type = 0;
   double best_mean = -1.0;
   std::vector<double> best_scores;
-  for (size_t t = 0; t < zoo_->num_types(); ++t) {
+  for (size_t t = 0; t < nt; ++t) {
     std::vector<double> scores(distinct.values.size());
     double mean = 0.0;
     double weight = 0.0;
     for (size_t i = 0; i < distinct.values.size(); ++i) {
-      scores[i] = zoo_->Score(t, distinct.values[i]);
+      scores[i] = static_cast<double>(rows[i * nt + t]);
       mean += scores[i] * static_cast<double>(distinct.counts[i]);
       weight += static_cast<double>(distinct.counts[i]);
     }
@@ -112,7 +116,7 @@ std::vector<eval::ScoredCell> CtaZScoreDetector::Detect(
   for (size_t row = 0; row < column.values.size(); ++row) {
     row_dist[row] = dist_of.at(column.values[row]);
   }
-  return FlagByZScore(column, row_dist, z_cutoff_);
+  return FlagByZScore(row_dist, z_cutoff_);
 }
 
 // ---------------------------------------------------------------------------
@@ -123,34 +127,36 @@ std::vector<eval::ScoredCell> EmbeddingZScoreDetector::Detect(
     const table::Column& column) const {
   if (column.values.empty()) return {};
   table::DistinctValues distinct = table::Distinct(column);
+  const std::vector<std::string_view> views(distinct.values.begin(),
+                                            distinct.values.end());
+  const size_t dim = model_->dim();
+  std::vector<float> rows(views.size() * dim);
+  std::vector<uint8_t> ok(views.size());
+  model_->EmbedBlockCached(views, rows.data(), ok.data());
   // Column centroid over embeddable values.
-  embed::Vector centroid(model_->dim(), 0.0f);
+  embed::Vector centroid(dim, 0.0f);
   double total = 0.0;
-  std::vector<std::pair<bool, embed::Vector>> embedded(distinct.size());
-  for (size_t i = 0; i < distinct.values.size(); ++i) {
-    embed::Vector v;
-    bool ok = model_->EmbedCached(distinct.values[i], &v);
-    if (ok) {
-      embed::AddScaled(&centroid, v,
-                       static_cast<double>(distinct.counts[i]));
-      total += static_cast<double>(distinct.counts[i]);
-    }
-    embedded[i] = {ok, std::move(v)};
+  for (size_t i = 0; i < views.size(); ++i) {
+    if (ok[i] == 0) continue;
+    const float* row = rows.data() + i * dim;
+    embed::AddScaled(&centroid, embed::Vector(row, row + dim),
+                     static_cast<double>(distinct.counts[i]));
+    total += static_cast<double>(distinct.counts[i]);
   }
   if (total > 0.0) embed::Scale(&centroid, 1.0 / total);
 
   std::unordered_map<std::string, double> dist_of;
-  for (size_t i = 0; i < distinct.values.size(); ++i) {
-    double d = embedded[i].first
-                   ? embed::EuclideanDistance(embedded[i].second, centroid)
-                   : model_->oov_distance();
+  for (size_t i = 0; i < views.size(); ++i) {
+    double d = ok[i] != 0 ? embed::EuclideanDistanceRaw(
+                                rows.data() + i * dim, centroid.data(), dim)
+                          : model_->oov_distance();
     dist_of.emplace(distinct.values[i], d);
   }
   std::vector<double> row_dist(column.values.size());
   for (size_t row = 0; row < column.values.size(); ++row) {
     row_dist[row] = dist_of.at(column.values[row]);
   }
-  return FlagByZScore(column, row_dist, z_cutoff_);
+  return FlagByZScore(row_dist, z_cutoff_);
 }
 
 // ---------------------------------------------------------------------------

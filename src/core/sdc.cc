@@ -49,10 +49,6 @@ ColumnDistanceProfile ComputeProfile(const typedet::DomainEvalFunction& eval,
   return p;
 }
 
-bool PreconditionHolds(const Sdc& sdc, const ColumnDistanceProfile& profile) {
-  return profile.PreconditionHolds(sdc.d_in, sdc.m);
-}
-
 std::string Sdc::Describe() const {
   char buf[320];
   if (eval != nullptr && eval->binary()) {

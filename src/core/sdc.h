@@ -64,9 +64,6 @@ struct ColumnDistanceProfile {
 ColumnDistanceProfile ComputeProfile(const typedet::DomainEvalFunction& eval,
                                      const table::DistinctValues& distinct);
 
-/// Pre-condition check directly on a column (used by the online path).
-bool PreconditionHolds(const Sdc& sdc, const ColumnDistanceProfile& profile);
-
 }  // namespace autotest::core
 
 #endif  // AUTOTEST_CORE_SDC_H_

@@ -10,28 +10,21 @@ namespace {
 constexpr size_t kDim = 64;
 
 // Shared machinery: domain centroids + membership-weighted composition.
-// A centroid is a pure function of (domain, seed) but costs one Box-Muller
-// draw per dimension, and it is requested once per membership of every
-// embedded value — so memoize the few dozen (domain, seed) pairs. The
-// cached vector is bit-identical to a fresh HashGaussianUnit call.
-Vector DomainCentroid(const std::string& domain_name, uint64_t seed) {
-  static util::Mutex mu;
-  static auto* cache = new std::unordered_map<std::string, Vector>();
-  std::string key = std::to_string(seed) + ":" + domain_name;
-  {
-    util::MutexLock lock(&mu);
-    auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
+// A centroid is a pure function of (domain, seed) that costs one
+// Box-Muller draw per dimension, so a model derives all of them once at
+// construction, indexed like Gazetteer::domains() (Membership::domain_index).
+std::vector<Vector> CentroidsByDomain(uint64_t seed) {
+  std::vector<Vector> out;
+  for (const auto& domain : datagen::Gazetteer::Instance().domains()) {
+    out.push_back(HashGaussianUnit("centroid:" + domain.name, seed, kDim));
   }
-  // Computed outside the lock; racing threads derive identical vectors.
-  Vector v = HashGaussianUnit("centroid:" + domain_name, seed, kDim);
-  util::MutexLock lock(&mu);
-  return cache->emplace(std::move(key), std::move(v)).first->second;
+  return out;
 }
 
 // Averaged centroid over a value's memberships; returns false if the value
 // belongs to no NL domain. `weight` receives the semantic tier weight.
-bool SemanticComponent(const std::string& value, uint64_t seed,
+bool SemanticComponent(const std::string& value,
+                       const std::vector<Vector>& centroids,
                        double head_weight, double tail_weight, Vector* out,
                        double* weight) {
   const auto* memberships = datagen::Gazetteer::Instance().Lookup(value);
@@ -39,10 +32,8 @@ bool SemanticComponent(const std::string& value, uint64_t seed,
   Vector acc(kDim, 0.0f);
   double w_acc = 0.0;
   for (const auto& m : *memberships) {
-    const auto& domain =
-        datagen::Gazetteer::Instance().domains()[m.domain_index];
     double w = (m.tier == datagen::Tier::kHead) ? head_weight : tail_weight;
-    AddScaled(&acc, DomainCentroid(domain.name, seed), w);
+    AddScaled(&acc, centroids[m.domain_index], w);
     w_acc += w;
   }
   Normalize(&acc);
@@ -53,7 +44,8 @@ bool SemanticComponent(const std::string& value, uint64_t seed,
 
 class GloveSim : public EmbeddingModel {
  public:
-  explicit GloveSim(uint64_t seed) : seed_(seed) {}
+  explicit GloveSim(uint64_t seed)
+      : seed_(seed), centroids_(CentroidsByDomain(seed)) {}
 
   const std::string& name() const override {
     static const std::string& n = *new std::string("glove-sim");
@@ -71,9 +63,7 @@ class GloveSim : public EmbeddingModel {
     Vector sem(kDim, 0.0f);
     for (const auto& m : *memberships) {
       if (m.tier != datagen::Tier::kHead) continue;
-      const auto& domain =
-          datagen::Gazetteer::Instance().domains()[m.domain_index];
-      AddScaled(&sem, DomainCentroid(domain.name, seed_), 1.0);
+      AddScaled(&sem, centroids_[m.domain_index], 1.0);
       any_head = true;
     }
     if (!any_head) return false;
@@ -90,11 +80,13 @@ class GloveSim : public EmbeddingModel {
  private:
   static constexpr double kScale = 4.0;  // paper-like GloVe distance scale
   uint64_t seed_;
+  std::vector<Vector> centroids_;
 };
 
 class SbertSim : public EmbeddingModel {
  public:
-  explicit SbertSim(uint64_t seed) : seed_(seed) {}
+  explicit SbertSim(uint64_t seed)
+      : seed_(seed), centroids_(CentroidsByDomain(seed)) {}
 
   const std::string& name() const override {
     static const std::string& n = *new std::string("sbert-sim");
@@ -106,8 +98,9 @@ class SbertSim : public EmbeddingModel {
   bool Embed(const std::string& value, Vector* out) const override {
     Vector sem;
     double sem_weight = 0.0;
-    bool has_sem = SemanticComponent(value, seed_, /*head_weight=*/0.8,
-                                     /*tail_weight=*/0.5, &sem, &sem_weight);
+    bool has_sem =
+        SemanticComponent(value, centroids_, /*head_weight=*/0.8,
+                          /*tail_weight=*/0.5, &sem, &sem_weight);
     Vector v(kDim, 0.0f);
     if (has_sem) AddScaled(&v, sem, sem_weight);
     AddScaled(&v, LexicalVector(value, seed_ ^ 0x22ff, kDim),
@@ -122,76 +115,27 @@ class SbertSim : public EmbeddingModel {
  private:
   static constexpr double kScale = 1.2;  // paper-like S-BERT distance scale
   uint64_t seed_;
+  std::vector<Vector> centroids_;
 };
 
 }  // namespace
 
-bool EmbeddingModel::EmbedCached(const std::string& value,
-                                 Vector* out) const {
-  {
-    util::MutexLock lock(&cache_mu_);
-    auto it = cache_.find(value);
-    if (it != cache_.end()) {
-      *out = it->second.second;
-      return it->second.first;
-    }
-  }
-  Vector v;
-  bool ok = Embed(value, &v);
-  {
-    util::MutexLock lock(&cache_mu_);
-    if (cache_.size() >= kMaxCacheEntries) cache_.clear();
-    cache_.emplace(value, std::make_pair(ok, v));
-  }
-  *out = std::move(v);
-  return ok;
-}
-
 void EmbeddingModel::EmbedBlockCached(
     std::span<const std::string_view> values, float* out, uint8_t* ok) const {
-  const size_t d = dim();
-  auto emit = [&](size_t i, bool embeddable, const Vector& v) {
-    ok[i] = embeddable ? 1 : 0;
-    float* row = out + i * d;
-    if (embeddable && v.size() == d) {
-      std::copy(v.begin(), v.end(), row);
-    } else {
-      std::fill(row, row + d, 0.0f);
-    }
-  };
-  std::vector<size_t> misses;
-  {
-    util::MutexLock lock(&cache_mu_);
-    for (size_t i = 0; i < values.size(); ++i) {
-      auto it = cache_.find(values[i]);
-      if (it == cache_.end()) {
-        misses.push_back(i);
-        continue;
-      }
-      emit(i, it->second.first, it->second.second);
-    }
-  }
-  if (misses.empty()) return;
-  // Misses are embedded outside the lock (pure CPU work).
-  std::vector<std::pair<bool, Vector>> computed(misses.size());
-  for (size_t k = 0; k < misses.size(); ++k) {
-    computed[k].first =
-        Embed(std::string(values[misses[k]]), &computed[k].second);
-    emit(misses[k], computed[k].first, computed[k].second);
-  }
-  util::MutexLock lock(&cache_mu_);
-  for (size_t k = 0; k < misses.size(); ++k) {
-    if (cache_.size() >= kMaxCacheEntries) cache_.clear();
-    cache_.emplace(std::string(values[misses[k]]), std::move(computed[k]));
-  }
+  cache_.Fill(values, dim(), out, ok,
+              [this](std::string_view value, Vector* row) {
+                if (!Embed(std::string(value), row)) row->clear();
+              });
 }
 
-double EmbeddingModel::Distance(const std::string& a,
-                                const std::string& b) const {
-  Vector va;
-  Vector vb;
-  if (!EmbedCached(a, &va) || !EmbedCached(b, &vb)) return oov_distance();
-  return EuclideanDistance(va, vb);
+double EmbeddingModel::Distance(std::string_view a, std::string_view b) const {
+  const std::string_view values[] = {a, b};
+  const size_t d = dim();
+  std::vector<float> rows(2 * d);
+  uint8_t ok[2];
+  EmbedBlockCached(values, rows.data(), ok);
+  if (ok[0] == 0 || ok[1] == 0) return oov_distance();
+  return EuclideanDistanceRaw(rows.data(), rows.data() + d, d);
 }
 
 std::unique_ptr<EmbeddingModel> MakeGloveSim(uint64_t seed) {

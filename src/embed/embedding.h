@@ -5,12 +5,9 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 
 #include "embed/vector_math.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/row_cache.h"
 
 namespace autotest::embed {
 
@@ -31,21 +28,15 @@ class EmbeddingModel {
   virtual size_t dim() const = 0;
 
   /// Embeds the value; returns false when the value is out of vocabulary
-  /// (only GloveSim has a closed vocabulary).
+  /// (only GloveSim has a closed vocabulary). Uncached.
   virtual bool Embed(const std::string& value, Vector* out) const = 0;
 
-  /// Memoized Embed: vectors are computed once per distinct value (the
-  /// embedding computation dominates distance evaluation against many
-  /// centroids). Bounded cache.
-  bool EmbedCached(const std::string& value, Vector* out) const;
-
-  /// Batched EmbedCached over a block of values: writes values.size()
-  /// row-major dim()-wide rows into `out` and per-value embeddability
-  /// flags into `ok` (rows with ok == 0 are zero-filled). One cache pass
-  /// for the whole block — lookups under a single lock, misses computed
-  /// outside it, then inserted under one more lock — instead of a
-  /// lock/find/copy per value. The rows are what every per-centroid
-  /// distance of this model reads. Bit-identical to per-value EmbedCached.
+  /// Memoized Embed over a block of values, the model's only cached entry
+  /// point: writes values.size() row-major dim()-wide rows into `out` and
+  /// per-value embeddability flags into `ok` (rows with ok == 0 are
+  /// zero-filled). Each distinct value is embedded once (the embedding
+  /// dominates distance evaluation against many centroids); the rows are
+  /// what every per-centroid distance of this model reads.
   void EmbedBlockCached(std::span<const std::string_view> values, float* out,
                         uint8_t* ok) const;
 
@@ -54,23 +45,10 @@ class EmbeddingModel {
 
   /// Distance between two values: Euclidean between embeddings, or
   /// oov_distance() when either side is OOV.
-  double Distance(const std::string& a, const std::string& b) const;
+  double Distance(std::string_view a, std::string_view b) const;
 
  private:
-  // Transparent hashing so EmbedBlockCached lookups by string_view need no
-  // temporary std::string per probed value.
-  struct ValueHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  static constexpr size_t kMaxCacheEntries = 2'000'000;
-  mutable util::Mutex cache_mu_;
-  mutable std::unordered_map<std::string, std::pair<bool, Vector>, ValueHash,
-                             std::equal_to<>>
-      cache_ AT_GUARDED_BY(cache_mu_);
+  mutable util::RowCache cache_;  // Embed per value; empty when OOV
 };
 
 /// GloVe-like embedding: closed vocabulary consisting of the *head* values

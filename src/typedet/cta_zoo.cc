@@ -160,54 +160,12 @@ void CtaModelZoo::ScoreAllTypes(const std::vector<float>& features,
   }
 }
 
-double CtaModelZoo::Score(size_t type_index, const std::string& value) const {
-  AT_CHECK(type_index < num_types());
-  {
-    util::MutexLock lock(&cache_mu_);
-    auto it = score_cache_.find(value);
-    if (it != score_cache_.end()) {
-      return static_cast<double>(it->second[type_index]);
-    }
-  }
-  std::vector<float> features = extractor_.Extract(value);
-  std::vector<float> scores;
-  ScoreAllTypes(features, &scores);
-  double out = static_cast<double>(scores[type_index]);
-  util::MutexLock lock(&cache_mu_);
-  if (score_cache_.size() >= kMaxCacheEntries) score_cache_.clear();
-  score_cache_.emplace(value, std::move(scores));
-  return out;
-}
-
 void CtaModelZoo::ScoreRows(std::span<const std::string_view> values,
                             float* out) const {
-  const size_t nt = num_types();
-  std::vector<size_t> misses;
-  {
-    util::MutexLock lock(&cache_mu_);
-    for (size_t i = 0; i < values.size(); ++i) {
-      auto it = score_cache_.find(values[i]);
-      if (it == score_cache_.end()) {
-        misses.push_back(i);
-        continue;
-      }
-      std::copy(it->second.begin(), it->second.end(), out + i * nt);
-    }
-  }
-  if (misses.empty()) return;
-  // Misses are scored outside the lock (feature extraction dominates).
-  std::vector<std::vector<float>> computed(misses.size());
-  for (size_t k = 0; k < misses.size(); ++k) {
-    std::vector<float> features = extractor_.Extract(values[misses[k]]);
-    ScoreAllTypes(features, &computed[k]);
-    std::copy(computed[k].begin(), computed[k].end(), out + misses[k] * nt);
-  }
-  util::MutexLock lock(&cache_mu_);
-  for (size_t k = 0; k < misses.size(); ++k) {
-    if (score_cache_.size() >= kMaxCacheEntries) score_cache_.clear();
-    score_cache_.emplace(std::string(values[misses[k]]),
-                         std::move(computed[k]));
-  }
+  cache_.Fill(values, num_types(), out, /*ok=*/nullptr,
+              [this](std::string_view value, std::vector<float>* scores) {
+                ScoreAllTypes(extractor_.Extract(value), scores);
+              });
 }
 
 CtaZooConfig SherlockSimConfig() {

@@ -6,13 +6,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ml/features.h"
 #include "ml/logistic_regression.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/row_cache.h"
 
 namespace autotest::typedet {
 
@@ -56,16 +54,12 @@ class CtaModelZoo {
   static std::unique_ptr<CtaModelZoo> FromWeights(CtaZooConfig config,
                                                   PackedZooWeights weights);
 
-  /// P(value belongs to type) in [0, 1]. Scores for all types of a value
-  /// are computed on first use and memoized (feature extraction dominates
-  /// the cost and is shared across the zoo's types).
-  double Score(size_t type_index, const std::string& value) const;
-
   /// All-type score rows for a block of values: writes values.size()
-  /// row-major num_types()-wide rows into `out`, row i holding the scores
-  /// of values[i] in type order. One pass through the per-value cache —
-  /// lookups under a single lock, feature extraction for misses outside
-  /// it — so the rows are exactly the vectors per-value Score caches.
+  /// row-major num_types()-wide rows into `out`, row i holding
+  /// P(values[i] belongs to type t) in [0, 1] for every type t in order.
+  /// The zoo's only scoring entry point: a value's scores are computed for
+  /// all types at once on first sight (feature extraction dominates the
+  /// cost and is shared across the zoo's types) and memoized per value.
   void ScoreRows(std::span<const std::string_view> values, float* out) const;
 
   const std::string& name() const { return config_.name; }
@@ -94,23 +88,7 @@ class CtaModelZoo {
   CtaZooConfig config_;
   ml::FeatureExtractor extractor_;
   PackedZooWeights weights_;
-
-  // Transparent hashing so ScoreRows lookups by string_view need no
-  // temporary std::string per probed value.
-  struct ValueHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  // Per-value score cache (all types at once), bounded to keep memory flat
-  // across long benchmark sweeps.
-  static constexpr size_t kMaxCacheEntries = 2'000'000;
-  mutable util::Mutex cache_mu_;
-  mutable std::unordered_map<std::string, std::vector<float>, ValueHash,
-                             std::equal_to<>>
-      score_cache_ AT_GUARDED_BY(cache_mu_);
+  mutable util::RowCache cache_;  // all-type scores per value
 };
 
 /// Configs of the two built-in zoos. Sherlock-sim covers a subset of NL

@@ -14,6 +14,19 @@ namespace autotest::typedet {
 
 namespace {
 
+// Distance of one value through a function's backend: a one-value block,
+// so scalar callers read the same memoized rows and the same kernel as
+// the trainer's and the predictor's blocks. The rows are per-thread
+// scratch, so a scalar call allocates nothing once its thread has scored
+// a value.
+double DistanceViaRows(const DomainEvalFunction& f, std::string_view value) {
+  thread_local BackendRows rows;
+  f.ComputeBackendRows({&value, 1}, &rows);
+  double distance = 0.0;
+  f.DistanceFromRows(rows, {&distance, 1});
+  return distance;
+}
+
 class CtaEval : public DomainEvalFunction {
  public:
   CtaEval(const CtaModelZoo* zoo, size_t type_index)
@@ -24,8 +37,7 @@ class CtaEval : public DomainEvalFunction {
         type_index_(type_index) {}
 
   double Distance(std::string_view value) const override {
-    // Paper Eq. 1: distance = 1 - classifier score.
-    return 1.0 - zoo_->Score(type_index_, std::string(value));
+    return DistanceViaRows(*this, value);
   }
 
   const void* backend() const override { return zoo_; }
@@ -40,7 +52,7 @@ class CtaEval : public DomainEvalFunction {
 
   void DistanceFromRows(const BackendRows& rows,
                         std::span<double> out) const override {
-    // Eq. 1 on the row's float score, widened exactly as Score widens it.
+    // Paper Eq. 1: distance = 1 - classifier score.
     for (size_t i = 0; i < rows.size(); ++i) {
       out[i] = 1.0 - static_cast<double>(rows.row(i)[type_index_]);
     }
@@ -69,11 +81,7 @@ class EmbeddingEval : public DomainEvalFunction {
         centroid_(std::move(centroid)) {}
 
   double Distance(std::string_view value) const override {
-    embed::Vector v;
-    if (!model_->EmbedCached(std::string(value), &v)) {
-      return model_->oov_distance();
-    }
-    return embed::EuclideanDistance(v, centroid_);
+    return DistanceViaRows(*this, value);
   }
 
   const void* backend() const override { return model_; }
@@ -88,8 +96,7 @@ class EmbeddingEval : public DomainEvalFunction {
 
   void DistanceFromRows(const BackendRows& rows,
                         std::span<double> out) const override {
-    // EuclideanDistanceRaw is the kernel the scalar path reaches through
-    // EuclideanDistance, so the two paths are bit-identical.
+    // Paper Eq. 2: Euclidean distance to the centroid's embedding.
     const double oov = model_->oov_distance();
     for (size_t i = 0; i < rows.size(); ++i) {
       out[i] = rows.ok[i] != 0 ? embed::EuclideanDistanceRaw(

@@ -102,6 +102,8 @@ inline constexpr std::string_view kMTrainerPoolValues =
     "trainer.pool_values";
 inline constexpr std::string_view kMTrainerPoolArenaBytes =
     "trainer.pool_arena_bytes";
+inline constexpr std::string_view kMRowCacheHits = "row_cache.hits";
+inline constexpr std::string_view kMRowCacheMisses = "row_cache.misses";
 inline constexpr std::string_view kMDatagenShardsGenerated =
     "datagen.shards_generated";
 inline constexpr std::string_view kMDatagenColumnsGenerated =
@@ -172,6 +174,8 @@ inline constexpr std::string_view kAllMetrics[] = {
     kMTrainerSyntheticSeconds,
     kMTrainerPoolValues,
     kMTrainerPoolArenaBytes,
+    kMRowCacheHits,
+    kMRowCacheMisses,
     kMDatagenShardsGenerated,
     kMDatagenColumnsGenerated,
     kMServeConnections,

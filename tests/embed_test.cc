@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "datagen/gazetteer.h"
 #include "embed/embedding.h"
 #include "embed/vector_math.h"
+#include "util/metrics.h"
 
 namespace autotest::embed {
 namespace {
@@ -143,7 +149,7 @@ TEST(EmbeddingTest, BlockCachedMatchesPerValueEmbed) {
     model->EmbedBlockCached(views, rows.data(), ok.data());
     for (size_t i = 0; i < values.size(); ++i) {
       Vector v;
-      bool embeddable = model->EmbedCached(values[i], &v);
+      bool embeddable = model->Embed(values[i], &v);
       ASSERT_EQ(ok[i] != 0, embeddable) << model->name() << " " << values[i];
       if (embeddable) {
         ASSERT_EQ(v.size(), d);
@@ -154,6 +160,104 @@ TEST(EmbeddingTest, BlockCachedMatchesPerValueEmbed) {
         for (size_t j = 0; j < d; ++j) EXPECT_EQ(rows[i * d + j], 0.0f);
       }
     }
+  }
+}
+
+// A few hundred distinct values: head members of every gazetteer domain
+// (in GloVe's vocabulary), tail members (mostly outside it) and strings no
+// domain holds.
+std::vector<std::string> ManyProbeValues() {
+  std::set<std::string> values;
+  for (const auto& domain : datagen::Gazetteer::Instance().domains()) {
+    for (size_t i = 0; i < domain.head.size() && i < 4; ++i) {
+      values.insert(domain.head[i]);
+    }
+    for (size_t i = 0; i < domain.tail.size() && i < 2; ++i) {
+      values.insert(domain.tail[i]);
+    }
+  }
+  for (int i = 0; i < 100; ++i) values.insert("probe-" + std::to_string(i));
+  return {values.begin(), values.end()};
+}
+
+// Four threads fill overlapping blocks of one fresh model's memo at once,
+// each starting at its own offset and wrapping around, twice (the second
+// pass reads what the threads inserted). Every row and flag must equal
+// the rows one thread computes on a model of its own.
+TEST(EmbeddingTest, ConcurrentFillsMatchSingleThreadRows) {
+  const std::vector<std::string> values = ManyProbeValues();
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  const size_t n = views.size();
+  for (auto maker : {MakeGloveSim, MakeSbertSim}) {
+    auto reference = maker(0x2cd);
+    const size_t d = reference->dim();
+    std::vector<float> want(n * d);
+    std::vector<uint8_t> want_ok(n);
+    reference->EmbedBlockCached(views, want.data(), want_ok.data());
+
+    auto model = maker(0x2cd);
+    constexpr size_t kThreads = 4;
+    constexpr size_t kBlock = 37;
+    std::vector<size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<size_t> index;
+        std::vector<std::string_view> block;
+        std::vector<float> rows;
+        std::vector<uint8_t> ok;
+        for (size_t pass = 0; pass < 2; ++pass) {
+          for (size_t start = 0; start < n; start += kBlock) {
+            index.clear();
+            block.clear();
+            for (size_t k = start; k < std::min(n, start + kBlock); ++k) {
+              index.push_back((k + t * n / kThreads) % n);
+              block.push_back(views[index.back()]);
+            }
+            rows.assign(block.size() * d, -1.0f);
+            ok.assign(block.size(), 2);
+            model->EmbedBlockCached(block, rows.data(), ok.data());
+            for (size_t r = 0; r < block.size(); ++r) {
+              const size_t i = index[r];
+              if (ok[r] != want_ok[i] ||
+                  std::memcmp(&rows[r * d], &want[i * d],
+                              d * sizeof(float)) != 0) {
+                ++mismatches[t];
+              }
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0u) << model->name() << " thread " << t;
+    }
+  }
+}
+
+// The memo's counters: a block of n distinct values new to a fresh model
+// adds n misses, and the same block again adds n hits.
+TEST(EmbeddingTest, MemoCountsHitsAndMisses) {
+  const metrics::Counter& hits =
+      metrics::Registry::Global().GetCounter(metrics::kMRowCacheHits);
+  const metrics::Counter& misses =
+      metrics::Registry::Global().GetCounter(metrics::kMRowCacheMisses);
+  const std::vector<std::string> values = ManyProbeValues();
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  const uint64_t n = views.size();
+  for (auto maker : {MakeGloveSim, MakeSbertSim}) {
+    auto model = maker(0x3ef);
+    std::vector<float> rows(views.size() * model->dim());
+    std::vector<uint8_t> ok(views.size());
+    const uint64_t hits0 = hits.value();
+    const uint64_t misses0 = misses.value();
+    model->EmbedBlockCached(views, rows.data(), ok.data());
+    EXPECT_EQ(misses.value() - misses0, n) << model->name();
+    EXPECT_EQ(hits.value() - hits0, 0u) << model->name();
+    model->EmbedBlockCached(views, rows.data(), ok.data());
+    EXPECT_EQ(misses.value() - misses0, n) << model->name();
+    EXPECT_EQ(hits.value() - hits0, n) << model->name();
   }
 }
 

@@ -85,13 +85,18 @@ TEST(LintTest, CleanFixturePasses) {
 TEST(LintTest, R2FiresOnRawNondeterminism) {
   LintRun run = RunLint(Fixture("bad_r2"));
   EXPECT_EQ(run.exit_code, 1);
-  ASSERT_EQ(run.lines.size(), 2u);
-  // Sorted by file: src/core (std::rand) before src/typedet (a clock).
+  ASSERT_EQ(run.lines.size(), 3u);
+  // Sorted by file: src/core (std::rand), src/embed (std::random_device),
+  // src/typedet (a clock).
   ParsedViolation core = Parse(run.lines[0]);
   EXPECT_EQ(core.rule, "R2");
   EXPECT_TRUE(EndsWith(core.file, "core/nondet.cc")) << core.file;
   EXPECT_EQ(core.line, 8u);
-  ParsedViolation typedet = Parse(run.lines[1]);
+  ParsedViolation embed = Parse(run.lines[1]);
+  EXPECT_EQ(embed.rule, "R2");
+  EXPECT_TRUE(EndsWith(embed.file, "embed/noisy_vector.cc")) << embed.file;
+  EXPECT_EQ(embed.line, 8u);
+  ParsedViolation typedet = Parse(run.lines[2]);
   EXPECT_EQ(typedet.rule, "R2");
   EXPECT_TRUE(EndsWith(typedet.file, "typedet/clock_seeded.cc"))
       << typedet.file;
@@ -235,7 +240,7 @@ TEST(LintTest, AllFixturesTogetherReportEveryRuleOnce) {
   EXPECT_EQ(run.exit_code, 1);
   std::vector<std::string> rules;
   for (const auto& line : run.lines) rules.push_back(Parse(line).rule);
-  EXPECT_EQ(std::count(rules.begin(), rules.end(), "R2"), 2);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "R2"), 3);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R3"), 2);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R4"), 1);
   EXPECT_EQ(std::count(rules.begin(), rules.end(), "R6"), 3);

@@ -17,6 +17,7 @@
 #include "typedet/eval_functions.h"
 #include "typedet/shipped_zoos.h"
 #include "typedet/validators.h"
+#include "util/metrics.h"
 
 namespace autotest::typedet {
 namespace {
@@ -191,6 +192,14 @@ TEST(ValidatorsTest, RegistryComplete) {
 // CTA zoos
 // ---------------------------------------------------------------------------
 
+// P(value belongs to type t) for every type t of the zoo, read from a
+// one-value ScoreRows block.
+std::vector<float> ScoreRow(const CtaModelZoo& zoo, std::string_view value) {
+  std::vector<float> row(zoo.num_types());
+  zoo.ScoreRows({&value, 1}, row.data());
+  return row;
+}
+
 class CtaZooTest : public ::testing::Test {
  protected:
   // The pre-trained zoos the product ships.
@@ -213,25 +222,26 @@ TEST_F(CtaZooTest, ZooSizes) {
 
 TEST_F(CtaZooTest, CountryClassifierSeparates) {
   size_t t = TypeIndex(*doduo_, "country");
-  EXPECT_GT(doduo_->Score(t, "germany"), 0.6);
-  EXPECT_GT(doduo_->Score(t, "france"), 0.6);
-  EXPECT_LT(doduo_->Score(t, "tt0054215"), 0.3);
-  EXPECT_LT(doduo_->Score(t, "12/3/2020"), 0.3);
+  EXPECT_GT(ScoreRow(*doduo_, "germany")[t], 0.6);
+  EXPECT_GT(ScoreRow(*doduo_, "france")[t], 0.6);
+  EXPECT_LT(ScoreRow(*doduo_, "tt0054215")[t], 0.3);
+  EXPECT_LT(ScoreRow(*doduo_, "12/3/2020")[t], 0.3);
 }
 
 TEST_F(CtaZooTest, StateClassifierFlagsIncompatibles) {
   // The paper's C2 example: "Germany" inside a state-code column.
   size_t t = TypeIndex(*sherlock_, "us_state_code");
-  EXPECT_GT(sherlock_->Score(t, "fl"), 0.5);
-  EXPECT_GT(sherlock_->Score(t, "ca"), 0.5);
-  EXPECT_LT(sherlock_->Score(t, "germany"), 0.2);
+  EXPECT_GT(ScoreRow(*sherlock_, "fl")[t], 0.5);
+  EXPECT_GT(ScoreRow(*sherlock_, "ca")[t], 0.5);
+  EXPECT_LT(ScoreRow(*sherlock_, "germany")[t], 0.2);
 }
 
 TEST_F(CtaZooTest, ScoresInRange) {
   for (const char* v : {"germany", "x", "", "12345", "hello world"}) {
-    double s = doduo_->Score(0, v);
-    EXPECT_GE(s, 0.0);
-    EXPECT_LE(s, 1.0);
+    for (float s : ScoreRow(*doduo_, v)) {
+      EXPECT_GE(s, 0.0f);
+      EXPECT_LE(s, 1.0f);
+    }
   }
 }
 
@@ -309,71 +319,158 @@ TEST(EvalFunctionSetTest, RandomHashInjection) {
 }
 
 // ---------------------------------------------------------------------------
-// Rows parity: for every function with a backend in a full eval set,
-// DistanceFromRows over the rows its backend computed (ComputeBackendRows,
-// called on the first function of that backend, as the trainer does) must
-// be bit-identical to the scalar Distance at every block size. This is the
-// contract the trainer's columnar pass and the predictor's shared rows
-// rely on (DESIGN.md §4k). 256 is the trainer's block; 1 and 37 cut the
-// pool into blocks the trainer never sees.
+// The memo against a cold oracle. The shared models' rows, read back warm
+// from their per-value memo, must equal bit for bit the rows fresh
+// instances compute cold, and every function with a backend in a full
+// eval set must give the same distances from them as its twin on the
+// cold instance, through both the rows and the scalar Distance. 256 is
+// the trainer's block; 1 and 37 cut the pool into blocks the trainer
+// never sees.
 // ---------------------------------------------------------------------------
 
-TEST(EvalFunctionTest, BackendRowsMatchScalarDistance) {
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+        << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+// Fresh, cold instances of the four shared models.
+struct ColdModels {
+  const std::unique_ptr<CtaModelZoo> sherlock = CtaModelZoo::FromWeights(
+      SherlockSimConfig(), SharedSherlockSim()->weights());
+  const std::unique_ptr<CtaModelZoo> doduo =
+      CtaModelZoo::FromWeights(DoduoSimConfig(), SharedDoduoSim()->weights());
+  const std::unique_ptr<embed::EmbeddingModel> glove = embed::MakeGloveSim();
+  const std::unique_ptr<embed::EmbeddingModel> sbert = embed::MakeSbertSim();
+
+  // `warm` rebuilt on the cold instance of its model, with the type or
+  // centroid value its id names ("cta:<zoo>:<type>",
+  // "emb:<model>:<centroid>").
+  std::unique_ptr<DomainEvalFunction> Twin(
+      const DomainEvalFunction& warm) const {
+    const std::string& id = warm.id();
+    for (const CtaModelZoo* zoo : {sherlock.get(), doduo.get()}) {
+      const std::string prefix = "cta:" + zoo->name() + ":";
+      if (id.rfind(prefix, 0) != 0) continue;
+      const std::vector<std::string>& types = zoo->type_names();
+      auto type =
+          std::find(types.begin(), types.end(), id.substr(prefix.size()));
+      if (type == types.end()) break;
+      return MakeCtaEval(zoo, static_cast<size_t>(type - types.begin()));
+    }
+    for (const embed::EmbeddingModel* model : {glove.get(), sbert.get()}) {
+      const std::string prefix = "emb:" + model->name() + ":";
+      if (id.rfind(prefix, 0) != 0) continue;
+      return MakeEmbeddingEval(model, id.substr(prefix.size()));
+    }
+    return nullptr;
+  }
+};
+
+void ExpectSameRows(const BackendRows& warm, const BackendRows& cold) {
+  ASSERT_EQ(warm.width, cold.width);
+  ASSERT_EQ(warm.ok, cold.ok);
+  ASSERT_EQ(warm.data.size(), cold.data.size());
+  for (size_t i = 0; i < warm.data.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(warm.data[i]),
+              std::bit_cast<uint32_t>(cold.data[i]))
+        << "row " << i / warm.width << " col " << i % warm.width;
+  }
+}
+
+TEST(EvalFunctionTest, WarmBackendRowsMatchColdModels) {
   auto corpus = datagen::GenerateCorpus(datagen::RelationalTablesProfile(40));
   EvalFunctionSetOptions opt;
   opt.embedding_centroids_per_model = 5;
   auto set = EvalFunctionSet::Build(corpus, opt);
   const table::ColumnStore store = table::ColumnStore::FromCorpus(corpus);
-  const std::span<const std::string_view> pool = store.pool();
-  ASSERT_GT(pool.size(), 0u);
-  // Cap the probe set: parity over a prefix is as binding as the full
-  // pool and keeps the sweep over every eval function fast.
-  const size_t n = std::min<size_t>(pool.size(), 400);
+  // Cap the probe set: parity over a prefix of the (distinct) pool is as
+  // binding as the full pool and keeps the sweep over every eval function
+  // fast.
+  const std::span<const std::string_view> probe =
+      store.pool().first(std::min<size_t>(store.pool().size(), 400));
+  ASSERT_GT(probe.size(), 0u);
+  const size_t n = probe.size();
+  const metrics::Counter& misses =
+      metrics::Registry::Global().GetCounter(metrics::kMRowCacheMisses);
+
+  // Warm the shared models over the probe values.
+  std::map<const void*, const DomainEvalFunction*> first_of;
+  for (const auto& f : set.functions()) {
+    if (f->backend() == nullptr) continue;
+    if (first_of.try_emplace(f->backend(), f.get()).second) {
+      BackendRows rows;
+      f->ComputeBackendRows(probe, &rows);
+    }
+  }
+  // Two zoos and two embedding models back the CTA and embedding families.
+  ASSERT_EQ(first_of.size(), 4u);
 
   for (size_t block : {size_t{1}, size_t{37}, size_t{256}}) {
     SCOPED_TRACE("block=" + std::to_string(block));
-    // Each backend's rows per block, computed by its first function.
-    std::map<const void*, std::vector<BackendRows>> rows_of;
-    size_t rows_checked = 0;
-    std::vector<double> from_rows(n);
+    auto rows_by_block = [&](const DomainEvalFunction& f) {
+      std::vector<BackendRows> rows;
+      for (size_t off = 0; off < n; off += block) {
+        rows.emplace_back();
+        f.ComputeBackendRows(probe.subspan(off, std::min(block, n - off)),
+                             &rows.back());
+      }
+      return rows;
+    };
+    // Each backend's warm rows are read from its memo, every value a hit.
+    std::map<const void*, std::vector<BackendRows>> warm_rows;
+    const uint64_t misses_before_warm = misses.value();
+    for (const auto& [backend, f] : first_of) {
+      warm_rows[backend] = rows_by_block(*f);
+    }
+    EXPECT_EQ(misses.value() - misses_before_warm, 0u);
+
+    // Fresh instances for each block size, so the cold rows are computed:
+    // every value of the (distinct) probe is a miss on each cold model.
+    const ColdModels cold;
+    std::map<const void*, std::vector<BackendRows>> cold_rows;
+    const uint64_t misses_before_cold = misses.value();
+    for (const auto& [backend, f] : first_of) {
+      const std::unique_ptr<DomainEvalFunction> twin = cold.Twin(*f);
+      ASSERT_NE(twin, nullptr) << f->id();
+      std::vector<BackendRows>& rows = cold_rows[twin->backend()];
+      rows = rows_by_block(*twin);
+      ASSERT_EQ(rows.size(), warm_rows[backend].size());
+      for (size_t b = 0; b < rows.size(); ++b) {
+        ExpectSameRows(warm_rows[backend][b], rows[b]);
+      }
+    }
+    EXPECT_EQ(misses.value() - misses_before_cold, 4 * n);
+
+    size_t functions_checked = 0;
+    std::vector<double> from_warm(n);
+    std::vector<double> from_cold(n);
+    std::vector<double> scalar(n);
     for (const auto& f : set.functions()) {
       if (f->backend() == nullptr) continue;
-      auto [it, first] = rows_of.try_emplace(f->backend());
-      std::vector<BackendRows>& rows = it->second;
-      if (first) {
-        for (size_t off = 0; off < n; off += block) {
-          rows.emplace_back();
-          f->ComputeBackendRows(pool.subspan(off, std::min(block, n - off)),
-                                &rows.back());
-        }
-      }
+      const std::unique_ptr<DomainEvalFunction> twin = cold.Twin(*f);
+      ASSERT_NE(twin, nullptr) << f->id();
+      ASSERT_EQ(twin->id(), f->id());
+      const std::vector<BackendRows>& w = warm_rows.at(f->backend());
+      const std::vector<BackendRows>& c = cold_rows.at(twin->backend());
       for (size_t off = 0; off < n; off += block) {
-        size_t len = std::min(block, n - off);
-        f->DistanceFromRows(rows[off / block],
-                            std::span<double>(from_rows).subspan(off, len));
+        const size_t len = std::min(block, n - off);
+        f->DistanceFromRows(w[off / block],
+                            std::span<double>(from_warm).subspan(off, len));
+        twin->DistanceFromRows(c[off / block],
+                               std::span<double>(from_cold).subspan(off, len));
       }
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(from_rows[i], f->Distance(pool[i]))
-            << f->id() << " value " << pool[i];
-      }
-      ++rows_checked;
+      for (size_t i = 0; i < n; ++i) scalar[i] = twin->Distance(probe[i]);
+      ExpectSameBits(from_cold, from_warm, f->id() + " rows");
+      ExpectSameBits(scalar, from_warm, f->id() + " scalar");
+      ++functions_checked;
     }
-    // Two zoos and two embedding models back the CTA and embedding
-    // families, and every one of their functions took the rows leg.
-    EXPECT_EQ(rows_of.size(), 4u);
-    EXPECT_EQ(rows_checked, set.FamilyFunctions(Family::kCta).size() +
-                                set.FamilyFunctions(Family::kEmbedding).size());
-  }
-}
-
-void ExpectSameBits(const std::vector<double>& fresh,
-                    const std::vector<double>& shipped,
-                    const std::string& what) {
-  ASSERT_EQ(fresh.size(), shipped.size()) << what;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<uint64_t>(fresh[i]),
-              std::bit_cast<uint64_t>(shipped[i]))
-        << what << "[" << i << "]: " << fresh[i] << " vs " << shipped[i];
+    EXPECT_EQ(functions_checked,
+              set.FamilyFunctions(Family::kCta).size() +
+                  set.FamilyFunctions(Family::kEmbedding).size());
   }
 }
 
@@ -396,10 +493,8 @@ TEST(SharedZooTest, ShippedWeightsEqualFreshTraining) {
     ExpectSameBits(fresh->weights().biases, shipped->weights().biases,
                    "biases");
     EXPECT_EQ(fresh->weights().trained, shipped->weights().trained);
-    for (const std::string v : {"france", "seattle", "not-a-real-value"}) {
-      for (size_t t = 0; t < fresh->num_types(); t += 7) {
-        EXPECT_EQ(fresh->Score(t, v), shipped->Score(t, v)) << v;
-      }
+    for (const char* v : {"france", "seattle", "not-a-real-value"}) {
+      EXPECT_EQ(ScoreRow(*fresh, v), ScoreRow(*shipped, v)) << v;
     }
   }
 }

@@ -271,9 +271,11 @@ Suppressions ParseSuppressions(const SourceFile& file) {
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kR2Scopes[] = {
-    "src/core/",          "src/stats/",      "src/lp/",
-    "src/typedet/",       "src/ml/",         "src/util/parallel/",
-    "src/util/retry",     "src/util/metrics", "src/table/shard_loader"};
+    "src/core/",          "src/stats/",        "src/lp/",
+    "src/typedet/",       "src/ml/",           "src/embed/",
+    "src/pattern/",       "src/datagen/",      "src/util/parallel/",
+    "src/util/retry",     "src/util/metrics",  "src/util/row_cache",
+    "src/table/shard_loader"};
 
 bool InR2Scope(const std::string& normalized_path) {
   for (std::string_view scope : kR2Scopes) {

@@ -17,8 +17,9 @@
 //
 //   R2  raw nondeterminism (rand, srand, std::random_device, std::time,
 //       gettimeofday, any Clock::now) inside the deterministic subsystems
-//       src/core, src/stats, src/lp, src/typedet, src/ml,
-//       src/util/parallel
+//       src/core, src/stats, src/lp, src/typedet, src/ml, src/embed,
+//       src/pattern, src/datagen, src/util/{parallel,retry,metrics,
+//       row_cache} and src/table/shard_loader
 //   R3  failpoint-name literals unknown to the registry in
 //       src/util/failpoint.h — and registered names no code ever uses
 //   R4  AT_CHECK on untrusted-input paths already migrated to Status

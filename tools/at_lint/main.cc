@@ -26,7 +26,9 @@ namespace {
 constexpr const char* kRuleCatalogue =
     "R2  raw nondeterminism (rand, srand, std::random_device, std::time,\n"
     "    gettimeofday, Clock::now) in src/core, src/stats, src/lp,\n"
-    "    src/util/parallel\n"
+    "    src/typedet, src/ml, src/embed, src/pattern, src/datagen,\n"
+    "    src/util/{parallel,retry,metrics,row_cache},\n"
+    "    src/table/shard_loader\n"
     "R3  failpoint-name literal absent from the registry in\n"
     "    src/util/failpoint.h, or a registered failpoint no code uses\n"
     "R4  AT_CHECK on an untrusted-input path (CSV, rule serialization,\n"
