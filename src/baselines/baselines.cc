@@ -145,12 +145,13 @@ std::vector<eval::ScoredCell> EmbeddingZScoreDetector::Detect(
   }
   if (total > 0.0) embed::Scale(&centroid, 1.0 / total);
 
+  std::vector<double> dist(views.size());
+  double* const out[] = {dist.data()};
+  embed::GroupedDistances(rows.data(), ok.data(), views.size(), dim,
+                          centroid.data(), 1, model_->oov_distance(), out);
   std::unordered_map<std::string, double> dist_of;
   for (size_t i = 0; i < views.size(); ++i) {
-    double d = ok[i] != 0 ? embed::EuclideanDistanceRaw(
-                                rows.data() + i * dim, centroid.data(), dim)
-                          : model_->oov_distance();
-    dist_of.emplace(distinct.values[i], d);
+    dist_of.emplace(distinct.values[i], dist[i]);
   }
   std::vector<double> row_dist(column.values.size());
   for (size_t row = 0; row < column.values.size(); ++row) {

@@ -6,8 +6,10 @@
 #include <mutex>
 #include <span>
 #include <string_view>
+#include <typeinfo>
 #include <unordered_set>
 
+#include "embed/vector_math.h"
 #include "stats/statistics.h"
 #include "table/column_store.h"
 #include "util/check.h"
@@ -181,35 +183,16 @@ void CountWithinThresholds(std::span<const uint32_t> ids,
   }
 }
 
-// Corpus pass (DESIGN.md §4k): the eval function is scored once per
-// distinct pool value, then per-column statistics are gathered from the
-// distance array by pool id — no per-column profiles. `rows` holds the
-// function's backend rows, one entry per pool block, or is empty when the
-// function has no backend and scores the pool value by value through
-// Distance.
-EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
-                   const table::ColumnStore& store,
-                   std::span<const typedet::BackendRows> rows,
-                   const Thresholds& th, const TrainOptions& options,
-                   std::vector<double>* pool_dist) {
+// Corpus pass (DESIGN.md §4k): from the function's distance for every
+// pool value, per-column statistics are gathered by pool id — no
+// per-column profiles.
+EvalPass BuildPass(const table::ColumnStore& store,
+                   const std::vector<double>& pool_dist, const Thresholds& th,
+                   const TrainOptions& options) {
   const size_t num_cols = store.num_columns();
   const size_t ni = th.d_ins.size();
   const size_t no = th.d_outs.size();
   EvalPass pass = MakeEvalPass(num_cols, options.m_grid.size(), ni, no);
-
-  pool_dist->resize(store.pool_size());
-  const std::span<const std::string_view> pool = store.pool();
-  if (rows.empty()) {
-    for (size_t v = 0; v < pool.size(); ++v) {
-      (*pool_dist)[v] = eval.Distance(pool[v]);
-    }
-  } else {
-    for (size_t b = 0; b < rows.size(); ++b) {
-      const std::span<double> out = std::span<double>(*pool_dist).subspan(
-          b * kEvalBatchSize, rows[b].size());
-      eval.DistanceFromRows(rows[b], out);
-    }
-  }
 
   std::vector<uint64_t> within_in(ni);
   std::vector<uint64_t> within_out(no);
@@ -221,9 +204,9 @@ EvalPass BuildPass(const typedet::DomainEvalFunction& eval,
         col.size() < options.min_distinct_values) {
       continue;
     }
-    CountWithinThresholds(col.ids, col.counts, *pool_dist, th.d_ins,
+    CountWithinThresholds(col.ids, col.counts, pool_dist, th.d_ins,
                           within_in.data());
-    CountWithinThresholds(col.ids, col.counts, *pool_dist, th.d_outs,
+    CountWithinThresholds(col.ids, col.counts, pool_dist, th.d_outs,
                           within_out.data());
     for (size_t i = 0; i < ni; ++i) {
       cov[i] = static_cast<uint32_t>(within_in[i]);
@@ -478,70 +461,128 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
       },
       eval_opt);
 
+  // Function tasks: one per function, except that each run of at most
+  // embed::kMaxCentroidGroup consecutive embedding functions of one model
+  // (same backend and dynamic type) is one task, whose distances come
+  // from one pass over the model's rows. A task holds one pool-sized
+  // distance vector per function.
+  struct FunctionTask {
+    size_t first = 0;
+    size_t count = 1;
+  };
+  auto groups_with = [&](size_t lead, size_t fi) {
+    const typedet::DomainEvalFunction& a = evals.at(lead);
+    const typedet::DomainEvalFunction& b = evals.at(fi);
+    return a.family() == typedet::Family::kEmbedding &&
+           a.backend() != nullptr && a.backend() == b.backend() &&
+           typeid(a) == typeid(b);
+  };
+  std::vector<FunctionTask> tasks;
+  for (size_t fi = 0; fi < evals.size(); fi += tasks.back().count) {
+    tasks.push_back(FunctionTask{fi, 1});
+    while (tasks.back().count < embed::kMaxCentroidGroup &&
+           fi + tasks.back().count < evals.size() &&
+           groups_with(fi, fi + tasks.back().count)) {
+      ++tasks.back().count;
+    }
+  }
+
   std::vector<FunctionResult> results(evals.size());
+  std::vector<double> distance_seconds(tasks.size(), 0.0);
   util::parallel::ParallelFor(
-      evals.size(),
-      [&](size_t fi) {
-        FunctionResult& res = results[fi];
-        // Injected allocation/compute fault for this evaluation family.
-        // The decision is keyed on the family index so which family faults
-        // is independent of pool scheduling; retryable codes are retried
-        // in place (pure CPU work — no backoff needed), permanent codes or
-        // an exhausted budget drop the family (counted) and train on the
-        // rest.
+      tasks.size(),
+      [&](size_t task) {
+        // Injected allocation/compute fault per evaluation function. The
+        // decision is keyed on the function index so which function
+        // faults is independent of pool scheduling and grouping;
+        // retryable codes are retried in place (pure CPU work — no backoff
+        // needed), permanent codes or an exhausted budget drop the
+        // function (counted) and train on the rest.
         const size_t budget = options.eval_retry_attempts > 0
                                   ? options.eval_retry_attempts
                                   : 1;
-        for (size_t attempt = 0; attempt < budget; ++attempt) {
-          auto injected = util::FailpointFiresKeyed(
-              util::kFpTrainerEval,
-              fi * 0x9e3779b97f4a7c15ULL + attempt,
-              util::StatusCode::kResourceExhausted);
-          if (!injected) break;
-          if (!util::IsRetryableCode(*injected) || attempt + 1 == budget) {
-            res.skipped = true;
-            return;
+        std::vector<const typedet::DomainEvalFunction*> group;
+        std::vector<size_t> group_fi;
+        for (size_t fi = tasks[task].first;
+             fi < tasks[task].first + tasks[task].count; ++fi) {
+          for (size_t attempt = 0; attempt < budget; ++attempt) {
+            auto injected = util::FailpointFiresKeyed(
+                util::kFpTrainerEval,
+                fi * 0x9e3779b97f4a7c15ULL + attempt,
+                util::StatusCode::kResourceExhausted);
+            if (!injected) break;
+            if (!util::IsRetryableCode(*injected) || attempt + 1 == budget) {
+              results[fi].skipped = true;
+              break;
+            }
+          }
+          if (results[fi].skipped) continue;
+          group.push_back(&evals.at(fi));
+          group_fi.push_back(fi);
+        }
+        if (group.empty()) return;
+
+        // The group's distance for every pool value: from the backend's
+        // rows, one block at a time, or value by value through Distance.
+        auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+        const typedet::DomainEvalFunction& lead = *group[0];
+        std::vector<std::vector<double>> pool_dist(
+            group.size(), std::vector<double>(pool.size()));
+        if (lead.backend() == nullptr) {
+          for (size_t v = 0; v < pool.size(); ++v) {
+            pool_dist[0][v] = lead.Distance(pool[v]);
+          }
+        } else {
+          const size_t backend = backend_of[group_fi[0]];
+          std::vector<double*> outs(group.size());
+          for (size_t b = 0; b < num_blocks; ++b) {
+            for (size_t g = 0; g < group.size(); ++g) {
+              outs[g] = pool_dist[g].data() + b * kEvalBatchSize;
+            }
+            lead.GroupDistanceFromRows(group, rows[backend * num_blocks + b],
+                                       outs);
           }
         }
-        auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        const auto& eval = evals.at(fi);
-        Thresholds th = MakeThresholds(eval);
-
-        // Corpus pass: coverage/trigger accumulators over the pool,
-        // scored from the backend's rows when the function has one.
-        std::span<const typedet::BackendRows> fn_rows;
-        if (backend_of[fi] != kNoBackend) {
-          fn_rows = std::span<const typedet::BackendRows>(rows).subspan(
-              backend_of[fi] * num_blocks, num_blocks);
-        }
-        std::vector<double> pool_dist;
-        EvalPass pass =
-            BuildPass(eval, store, fn_rows, th, options, &pool_dist);
         auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        res.candidate_seconds += Seconds(t0, t1);
+        distance_seconds[task] = Seconds(t0, t1);
 
-        // Distances of the synthetic alien values (recall estimation),
-        // gathered from the pool evaluation.
-        std::vector<double> syn_dist(synthetic.size());
-        for (size_t j = 0; j < synthetic.size(); ++j) {
-          syn_dist[j] = pool_dist[syn_ids[j]];
+        Clock::time_point mark = t1;
+        for (size_t g = 0; g < group.size(); ++g) {
+          const size_t fi = group_fi[g];
+          FunctionResult& res = results[fi];
+          const auto& eval = *group[g];
+          Thresholds th = MakeThresholds(eval);
+
+          // Corpus pass: coverage/trigger accumulators over the pool.
+          EvalPass pass = BuildPass(store, pool_dist[g], th, options);
+          auto t2 = Clock::now();  // at_lint: disable(R2) phase timing
+          res.candidate_seconds += Seconds(mark, t2);
+
+          // Distances of the synthetic alien values (recall estimation),
+          // gathered from the pool evaluation.
+          std::vector<double> syn_dist(synthetic.size());
+          for (size_t j = 0; j < synthetic.size(); ++j) {
+            syn_dist[j] = pool_dist[g][syn_ids[j]];
+          }
+          auto t3 = Clock::now();  // at_lint: disable(R2) phase timing
+          res.synthetic_seconds += Seconds(t2, t3);
+
+          // Candidate grid: enumeration + statistical tests, no clock
+          // reads.
+          std::vector<PendingCandidate> pending = EnumerateCandidates(
+              options, th, pass, fi, eval, min_cov, &res);
+          auto t4 = Clock::now();  // at_lint: disable(R2) phase timing
+          res.candidate_seconds += Seconds(t3, t4);
+
+          // Deferred detection pass for the survivors, attributed to
+          // recall estimation as one block (the per-candidate clock pair
+          // this replaces leaked detect time into candidate_gen on small
+          // grids).
+          DetectSynthetic(options, pass, synthetic, syn_dist,
+                          std::move(pending), &res);
+          mark = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+          res.synthetic_seconds += Seconds(t4, mark);
         }
-        auto t2 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        res.synthetic_seconds += Seconds(t1, t2);
-
-        // Candidate grid: enumeration + statistical tests, no clock reads.
-        std::vector<PendingCandidate> pending = EnumerateCandidates(
-            options, th, pass, fi, eval, min_cov, &res);
-        auto t3 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        res.candidate_seconds += Seconds(t2, t3);
-
-        // Deferred detection pass for the survivors, attributed to recall
-        // estimation as one block (the per-candidate clock pair this
-        // replaces leaked detect time into candidate_gen on small grids).
-        DetectSynthetic(options, pass, synthetic, syn_dist,
-                        std::move(pending), &res);
-        auto t4 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        res.synthetic_seconds += Seconds(t3, t4);
       },
       eval_opt);
 
@@ -549,6 +590,9 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
   TrainedModel model;
   model.num_synthetic = synthetic.size();
   for (double seconds : row_seconds) {
+    model.timings.candidate_gen_seconds += seconds;
+  }
+  for (double seconds : distance_seconds) {
     model.timings.candidate_gen_seconds += seconds;
   }
   for (auto& res : results) {

@@ -1,6 +1,9 @@
 #include "embed/embedding.h"
 
+#include <algorithm>
+
 #include "datagen/gazetteer.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace autotest::embed {
@@ -123,8 +126,12 @@ class SbertSim : public EmbeddingModel {
 void EmbeddingModel::EmbedBlockCached(
     std::span<const std::string_view> values, float* out, uint8_t* ok) const {
   cache_.Fill(values, dim(), out, ok,
-              [this](std::string_view value, Vector* row) {
-                if (!Embed(std::string(value), row)) row->clear();
+              [this](std::string_view value, float* row) {
+                Vector v;
+                if (!Embed(std::string(value), &v)) return false;
+                AT_CHECK(v.size() == dim());
+                std::copy(v.begin(), v.end(), row);
+                return true;
               });
 }
 
@@ -135,7 +142,10 @@ double EmbeddingModel::Distance(std::string_view a, std::string_view b) const {
   uint8_t ok[2];
   EmbedBlockCached(values, rows.data(), ok);
   if (ok[0] == 0 || ok[1] == 0) return oov_distance();
-  return EuclideanDistanceRaw(rows.data(), rows.data() + d, d);
+  double distance = 0.0;
+  double* out = &distance;
+  GroupedDistances(rows.data(), nullptr, 1, d, rows.data() + d, 1, 0.0, &out);
+  return distance;
 }
 
 std::unique_ptr<EmbeddingModel> MakeGloveSim(uint64_t seed) {

@@ -34,9 +34,10 @@ class EmbeddingModel {
   /// Memoized Embed over a block of values, the model's only cached entry
   /// point: writes values.size() row-major dim()-wide rows into `out` and
   /// per-value embeddability flags into `ok` (rows with ok == 0 are
-  /// zero-filled). Each distinct value is embedded once (the embedding
-  /// dominates distance evaluation against many centroids); the rows are
-  /// what every per-centroid distance of this model reads.
+  /// zero-filled). Each distinct value is embedded once until the memo next
+  /// clears (util::RowCache; the embedding dominates distance evaluation
+  /// against many centroids); the rows are what every centroid distance of
+  /// this model reads.
   void EmbedBlockCached(std::span<const std::string_view> values, float* out,
                         uint8_t* ok) const;
 

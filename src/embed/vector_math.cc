@@ -9,20 +9,6 @@
 
 namespace autotest::embed {
 
-double EuclideanDistanceRaw(const float* a, const float* b, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    s += d * d;
-  }
-  return std::sqrt(s);
-}
-
-double EuclideanDistance(const Vector& a, const Vector& b) {
-  AT_CHECK(a.size() == b.size());
-  return EuclideanDistanceRaw(a.data(), b.data(), a.size());
-}
-
 double Dot(const Vector& a, const Vector& b) {
   AT_CHECK(a.size() == b.size());
   double s = 0.0;

@@ -10,14 +10,23 @@ namespace autotest::embed {
 
 using Vector = std::vector<float>;
 
-/// Euclidean distance; vectors must have equal dimension.
-double EuclideanDistance(const Vector& a, const Vector& b);
+/// Most centroids one GroupedDistances call takes.
+inline constexpr size_t kMaxCentroidGroup = 8;
 
-/// Euclidean distance over raw rows (the block-evaluation kernels walk
-/// row-major embedding matrices). EuclideanDistance delegates here, so the
-/// two entry points are bit-identical by construction — the columnar
-/// trainer path depends on that.
-double EuclideanDistanceRaw(const float* a, const float* b, size_t n);
+/// The embedding distance kernel. Writes the Euclidean distance from each
+/// of `n` row-major `dim`-wide rows to each of `k` (1 to
+/// kMaxCentroidGroup) centroids: out[c][i] receives row i's distance to
+/// centroid c, or `oov` when ok[i] == 0 (`ok` may be null when every row
+/// has a vector). `centroids` is dim x k with the centroid inner:
+/// centroids[j * k + c] is element j of centroid c, so one centroid is
+/// just its vector. Each distance sums (row[j] - centroid[j])^2 in double
+/// over j in order with one accumulator per centroid, then takes the
+/// square root: the bits of the one-centroid scalar loop at every k. The
+/// lanes it vectorizes are the independent centroids, never a
+/// reassociated sum (DESIGN.md §4k).
+void GroupedDistances(const float* rows, const uint8_t* ok, size_t n,
+                      size_t dim, const float* centroids, size_t k,
+                      double oov, double* const* out);
 
 /// Dot product.
 double Dot(const Vector& a, const Vector& b);

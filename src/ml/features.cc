@@ -9,8 +9,10 @@
 
 namespace autotest::ml {
 
-std::vector<float> FeatureExtractor::Extract(std::string_view value) const {
-  std::vector<float> out(dim(), 0.0f);
+void FeatureExtractor::Extract(std::string_view value,
+                               std::vector<float>* features) const {
+  std::vector<float>& out = *features;
+  out.assign(dim(), 0.0f);
 
   std::string lowered = util::ToLower(value);
   std::string marked = "^" + lowered + "$";
@@ -63,7 +65,6 @@ std::vector<float> FeatureExtractor::Extract(std::string_view value) const {
                       ? 1.0f
                       : 0.0f;
   out[base + 7] = 1.0f;  // bias-like constant feature
-  return out;
 }
 
 }  // namespace autotest::ml

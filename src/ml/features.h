@@ -30,7 +30,14 @@ class FeatureExtractor {
 
   /// Computes the feature vector (lowercased input; values are case-folded
   /// before hashing, with case information preserved in shape features).
-  std::vector<float> Extract(std::string_view value) const;
+  std::vector<float> Extract(std::string_view value) const {
+    std::vector<float> out;
+    Extract(value, &out);
+    return out;
+  }
+  /// The same into `out`, resized to dim(): a caller scoring many values
+  /// reuses one vector.
+  void Extract(std::string_view value, std::vector<float>* out) const;
 
   const FeatureConfig& config() const { return config_; }
 

@@ -1,6 +1,7 @@
 #include "typedet/cta_zoo.h"
 
 #include <cctype>
+#include <cmath>
 
 #include "datagen/gazetteer.h"
 #include "util/check.h"
@@ -137,34 +138,43 @@ std::unique_ptr<CtaModelZoo> CtaModelZoo::FromWeights(
   AT_CHECK(weights.wt.size() == dim * nt);
   AT_CHECK(weights.biases.size() == nt);
   AT_CHECK(weights.trained.size() == nt);
+  // ScoreAllTypes skips zero features, which is exact only while every
+  // weight times zero is a zero.
+  for (double w : weights.wt) AT_CHECK(std::isfinite(w));
   return std::unique_ptr<CtaModelZoo>(
       new CtaModelZoo(std::move(config), std::move(weights)));
 }
 
-void CtaModelZoo::ScoreAllTypes(const std::vector<float>& features,
-                                std::vector<float>* scores) const {
+void CtaModelZoo::ScoreAllTypes(std::span<const float> features,
+                                float* scores) const {
   const size_t nt = num_types();
-  const size_t dim = extractor_.dim();
-  AT_CHECK(features.size() == dim);
-  std::vector<double> acc(weights_.biases);
-  for (size_t j = 0; j < dim; ++j) {
+  AT_CHECK(features.size() == extractor_.dim());
+  thread_local std::vector<double> accumulators;
+  accumulators.assign(weights_.biases.begin(), weights_.biases.end());
+  double* acc = accumulators.data();
+  for (size_t j = 0; j < features.size(); ++j) {
+    // A zero feature only adds signed zeros (every weight is finite),
+    // which cannot change a score (DESIGN.md §4k).
+    if (features[j] == 0.0f) continue;
     const double xj = static_cast<double>(features[j]);
     const double* row = &weights_.wt[j * nt];
     for (size_t t = 0; t < nt; ++t) acc[t] += row[t] * xj;
   }
-  scores->resize(nt);
   for (size_t t = 0; t < nt; ++t) {
-    (*scores)[t] = weights_.trained[t] != 0
-                       ? static_cast<float>(ml::Sigmoid(acc[t]))
-                       : 0.5f;
+    scores[t] = weights_.trained[t] != 0
+                    ? static_cast<float>(ml::Sigmoid(acc[t]))
+                    : 0.5f;
   }
 }
 
 void CtaModelZoo::ScoreRows(std::span<const std::string_view> values,
                             float* out) const {
   cache_.Fill(values, num_types(), out, /*ok=*/nullptr,
-              [this](std::string_view value, std::vector<float>* scores) {
-                ScoreAllTypes(extractor_.Extract(value), scores);
+              [this](std::string_view value, float* scores) {
+                thread_local std::vector<float> features;
+                extractor_.Extract(value, &features);
+                ScoreAllTypes(features, scores);
+                return true;
               });
 }
 

@@ -59,7 +59,8 @@ class CtaModelZoo {
   /// P(values[i] belongs to type t) in [0, 1] for every type t in order.
   /// The zoo's only scoring entry point: a value's scores are computed for
   /// all types at once on first sight (feature extraction dominates the
-  /// cost and is shared across the zoo's types) and memoized per value.
+  /// cost and is shared across the zoo's types) and memoized per value
+  /// until the memo next clears (util::RowCache).
   void ScoreRows(std::span<const std::string_view> values, float* out) const;
 
   const std::string& name() const { return config_.name; }
@@ -77,13 +78,13 @@ class CtaModelZoo {
         weights_(std::move(weights)) {}
 
   /// All-type scores for one feature vector through the packed transposed
-  /// weight matrix: feature-index outer, type inner, so every type's
-  /// accumulation order matches LogisticRegression::Predict exactly
-  /// (bit-identical scores) while the inner loop runs independent
-  /// multiply-add chains across types instead of one serial dot product
-  /// per model.
-  void ScoreAllTypes(const std::vector<float>& features,
-                     std::vector<float>* scores) const;
+  /// weight matrix, written to scores[0, num_types()): feature-index
+  /// outer, type inner, so every type's accumulation order matches
+  /// LogisticRegression::Predict exactly (bit-identical scores) while the
+  /// inner loop runs independent multiply-add chains across types instead
+  /// of one serial dot product per model. Zero features are skipped, and
+  /// the accumulators are a per-thread buffer.
+  void ScoreAllTypes(std::span<const float> features, float* scores) const;
 
   CtaZooConfig config_;
   ml::FeatureExtractor extractor_;

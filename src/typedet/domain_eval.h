@@ -84,6 +84,22 @@ class DomainEvalFunction {
     AT_CHECK_MSG(false, "DistanceFromRows on a function without backend");
   }
 
+  /// Distances of a group of functions with this function's backend() and
+  /// dynamic type, this one first, for one block of rows: outs[g] receives
+  /// rows.size() distances of group[g], bit-identical to
+  /// group[g]->DistanceFromRows. The trainer hands each run of at most
+  /// embed::kMaxCentroidGroup consecutive embedding functions of one model
+  /// to its first (DESIGN.md §4k). The default calls DistanceFromRows once
+  /// per function; an embedding function computes the whole group in one
+  /// pass over the rows.
+  virtual void GroupDistanceFromRows(
+      std::span<const DomainEvalFunction* const> group,
+      const BackendRows& rows, std::span<double* const> outs) const {
+    for (size_t g = 0; g < group.size(); ++g) {
+      group[g]->DistanceFromRows(rows, {outs[g], rows.size()});
+    }
+  }
+
   /// Smallest / largest distance this function can produce; the candidate
   /// generator enumerates thresholds inside this range.
   virtual double min_distance() const = 0;

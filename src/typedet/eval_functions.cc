@@ -96,13 +96,30 @@ class EmbeddingEval : public DomainEvalFunction {
 
   void DistanceFromRows(const BackendRows& rows,
                         std::span<double> out) const override {
-    // Paper Eq. 2: Euclidean distance to the centroid's embedding.
-    const double oov = model_->oov_distance();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      out[i] = rows.ok[i] != 0 ? embed::EuclideanDistanceRaw(
-                                     rows.row(i), centroid_.data(), rows.width)
-                               : oov;
+    // Paper Eq. 2: Euclidean distance to the centroid's embedding, through
+    // the grouped kernel with a group of one.
+    double* const outs[] = {out.data()};
+    embed::GroupedDistances(rows.data.data(), rows.ok.data(), rows.size(),
+                            rows.width, centroid_.data(), 1,
+                            model_->oov_distance(), outs);
+  }
+
+  void GroupDistanceFromRows(std::span<const DomainEvalFunction* const> group,
+                             const BackendRows& rows,
+                             std::span<double* const> outs) const override {
+    // The group's centroids, dimension-major for the kernel.
+    const size_t k = group.size();
+    std::vector<float> centroids(rows.width * k);
+    for (size_t c = 0; c < k; ++c) {
+      const auto& f = static_cast<const EmbeddingEval&>(*group[c]);
+      AT_CHECK(f.model_ == model_ && f.centroid_.size() == rows.width);
+      for (size_t j = 0; j < rows.width; ++j) {
+        centroids[j * k + c] = f.centroid_[j];
+      }
     }
+    embed::GroupedDistances(rows.data.data(), rows.ok.data(), rows.size(),
+                            rows.width, centroids.data(), k,
+                            model_->oov_distance(), outs.data());
   }
   double min_distance() const override { return 0.0; }
   double max_distance() const override { return model_->oov_distance(); }

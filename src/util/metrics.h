@@ -104,6 +104,8 @@ inline constexpr std::string_view kMTrainerPoolArenaBytes =
     "trainer.pool_arena_bytes";
 inline constexpr std::string_view kMRowCacheHits = "row_cache.hits";
 inline constexpr std::string_view kMRowCacheMisses = "row_cache.misses";
+inline constexpr std::string_view kMRowCacheBytes = "row_cache.bytes";
+inline constexpr std::string_view kMRowCacheClears = "row_cache.clears";
 inline constexpr std::string_view kMDatagenShardsGenerated =
     "datagen.shards_generated";
 inline constexpr std::string_view kMDatagenColumnsGenerated =
@@ -176,6 +178,8 @@ inline constexpr std::string_view kAllMetrics[] = {
     kMTrainerPoolArenaBytes,
     kMRowCacheHits,
     kMRowCacheMisses,
+    kMRowCacheBytes,
+    kMRowCacheClears,
     kMDatagenShardsGenerated,
     kMDatagenColumnsGenerated,
     kMServeConnections,

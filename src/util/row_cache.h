@@ -3,11 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <span>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/check.h"
@@ -18,23 +16,37 @@
 namespace autotest::util {
 
 /// The per-value memo of a model's output rows: a CTA zoo's all-type
-/// score vector (paper Eq. 1) or an embedding model's vector (Eq. 2). One
-/// entry per distinct value holds its float row; a value without a row (a
-/// word outside GloVe's vocabulary) holds an empty entry that stores no
-/// floats. Thread-safe. The map is cleared whole once it holds
-/// kMaxEntries values, which keeps memory bounded over long runs.
+/// score vector (paper Eq. 1) or an embedding model's vector (Eq. 2).
+/// Thread-safe.
+///
+/// The memo is a flat slab. Each distinct value gets one record, its row
+/// (none for a value without one, such as a word outside GloVe's
+/// vocabulary) followed by its key bytes, bump-allocated in fixed-size
+/// chunks, and one 16-byte entry in an open-addressing index. The chunks
+/// and the index together never hold more than kMaxBytes. An insert that
+/// would take them over clears the memo whole; the chunks and the index
+/// stay allocated and are reused, so a clear frees nothing and costs one
+/// pass over the index.
 class RowCache {
  public:
-  static constexpr size_t kMaxEntries = 2'000'000;
+  static constexpr size_t kMaxBytes = size_t{64} << 20;
+
+  /// Registers the `row_cache.bytes` gauge and `row_cache.clears` counter.
+  RowCache();
+  RowCache(const RowCache&) = delete;
+  RowCache& operator=(const RowCache&) = delete;
+  /// Takes the memo's bytes off the `row_cache.bytes` gauge.
+  ~RowCache();
 
   /// Writes values.size() row-major rows of `width` floats into `out`,
   /// row i holding the row of values[i], and sets ok[i] to 1. A value
   /// without a row gets a zero row and ok[i] == 0; `ok` may be null when
   /// every value has a row. The block's lookups run under one lock;
-  /// `compute(value, &row)` fills each miss's row outside it (leaving it
-  /// empty for a value without one), and the misses are inserted under one
-  /// more. Each call adds its hits and misses to the `row_cache.*`
-  /// counters, one relaxed add each.
+  /// `compute(value, row)` fills each miss's `width` floats straight into
+  /// `out` outside it and returns false for a value without a row, and the
+  /// misses are inserted under one more lock. Each call adds its hits and
+  /// misses to the `row_cache.*` counters, one relaxed add each. Every
+  /// call on one memo passes the same `width`.
   template <typename Compute>
   void Fill(std::span<const std::string_view> values, size_t width,
             float* out, uint8_t* ok, const Compute& compute) {
@@ -42,58 +54,77 @@ class RowCache {
         metrics::Registry::Global().GetCounter(metrics::kMRowCacheHits);
     static metrics::Counter& misses_counter =
         metrics::Registry::Global().GetCounter(metrics::kMRowCacheMisses);
-    auto emit = [&](size_t i, const std::vector<float>& row) {
-      float* dst = out + i * width;
-      if (row.empty()) {
-        AT_CHECK(ok != nullptr);
-        ok[i] = 0;
-        std::fill(dst, dst + width, 0.0f);
-        return;
-      }
-      AT_CHECK(row.size() == width);
-      if (ok != nullptr) ok[i] = 1;
-      std::copy(row.begin(), row.end(), dst);
-    };
     std::vector<size_t> misses;
     {
       MutexLock lock(&mu_);
       for (size_t i = 0; i < values.size(); ++i) {
-        auto it = rows_.find(values[i]);
-        if (it == rows_.end()) {
+        if (!Read(values[i], width, out + i * width,
+                  ok == nullptr ? nullptr : ok + i)) {
           misses.push_back(i);
-        } else {
-          emit(i, it->second);
         }
       }
     }
     hits.Increment(values.size() - misses.size());
     misses_counter.Increment(misses.size());
     if (misses.empty()) return;
-    std::vector<std::vector<float>> computed(misses.size());
-    for (size_t k = 0; k < misses.size(); ++k) {
-      compute(values[misses[k]], &computed[k]);
-      emit(misses[k], computed[k]);
+    for (size_t i : misses) {
+      float* row = out + i * width;
+      if (compute(values[i], row)) {
+        if (ok != nullptr) ok[i] = 1;
+      } else {
+        AT_CHECK(ok != nullptr);
+        ok[i] = 0;
+        std::fill(row, row + width, 0.0f);
+      }
     }
     MutexLock lock(&mu_);
-    for (size_t k = 0; k < misses.size(); ++k) {
-      if (rows_.size() >= kMaxEntries) rows_.clear();
-      rows_.emplace(std::string(values[misses[k]]), std::move(computed[k]));
+    for (size_t i : misses) {
+      const bool has_row = ok == nullptr || ok[i] != 0;
+      Insert(values[i], width, has_row ? out + i * width : nullptr);
     }
   }
 
  private:
-  // Transparent hashing: lookups by string_view build no std::string.
-  struct ValueHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
+  // One slab chunk. A record larger than a chunk (a key near 1 MiB) is
+  // computed on every read and never memoized.
+  static constexpr size_t kChunkBytes = size_t{1} << 20;
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  // One index entry: a value's hash, key length and record offset in the
+  // slab (chunk * kChunkBytes + offset), or pos == kEmptySlot.
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t key_len = 0;
+    uint32_t pos = kEmptySlot;
+    uint32_t has_row = 0;
   };
 
+  static uint32_t Hash(std::string_view value);
+
+  // Copies the memoized row of `value` into `row` (a zero row and *ok = 0
+  // for a value without one) and returns true, or returns false on a miss.
+  bool Read(std::string_view value, size_t width, float* row,
+            uint8_t* ok) const AT_REQUIRES(mu_);
+  // Memoizes `value` with `row` (null for a value without one), unless it
+  // is already there; clears the memo first when it would outgrow
+  // kMaxBytes.
+  void Insert(std::string_view value, size_t width, const float* row)
+      AT_REQUIRES(mu_);
+  // Index of the slot holding `value`, or of the empty slot that ends its
+  // probe sequence. The index must be non-empty.
+  size_t Probe(std::string_view value, uint32_t hash) const AT_REQUIRES(mu_);
+  const char* Record(uint32_t pos) const AT_REQUIRES(mu_) {
+    return chunks_[pos / kChunkBytes].get() + pos % kChunkBytes;
+  }
+  void Clear() AT_REQUIRES(mu_);
+
   Mutex mu_;
-  std::unordered_map<std::string, std::vector<float>, ValueHash,
-                     std::equal_to<>>
-      rows_ AT_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<char[]>> chunks_ AT_GUARDED_BY(mu_);
+  std::vector<Slot> slots_ AT_GUARDED_BY(mu_);  // power-of-two size
+  size_t width_ AT_GUARDED_BY(mu_) = 0;  // floats per row; 0 until set
+  size_t count_ AT_GUARDED_BY(mu_) = 0;  // values memoized
+  size_t used_ AT_GUARDED_BY(mu_) = 0;   // slab bytes in use
+  size_t bytes_ AT_GUARDED_BY(mu_) = 0;  // chunks and index held
 };
 
 }  // namespace autotest::util

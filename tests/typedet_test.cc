@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,12 +13,15 @@
 #include <vector>
 
 #include "datagen/corpus_gen.h"
+#include "datagen/gazetteer.h"
+#include "kernel_oracles.h"
 #include "table/column_store.h"
 #include "typedet/cta_zoo.h"
 #include "typedet/eval_functions.h"
 #include "typedet/shipped_zoos.h"
 #include "typedet/validators.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace autotest::typedet {
 namespace {
@@ -471,6 +475,182 @@ TEST(EvalFunctionTest, WarmBackendRowsMatchColdModels) {
     EXPECT_EQ(functions_checked,
               set.FamilyFunctions(Family::kCta).size() +
                   set.FamilyFunctions(Family::kEmbedding).size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bits. Every rule file is a function of the four shared models'
+// rows and of the distances read from them, yet a change to either (a
+// different centroid key, a reassociated distance sum) leaves every other
+// test green. These pin exact 64-bit hashes of both over a fixed list of
+// values: head and tail members, GloVe out-of-vocabulary strings, typos,
+// the empty string, non-ASCII text and one value over 256 bytes. A kernel
+// change that keeps the bits keeps the hashes; any other change must
+// re-derive them on purpose.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> GoldenValues() {
+  std::string long_value;
+  while (long_value.size() <= 256) long_value += "lorem ipsum dolor sit amet ";
+  return {"germany",   "seattle",     "january",    "france",
+          "omayra",    "shakopee",    "fairmont",   "zz-unknown-string-42",
+          "tt0054215", "liechstein",  "farimont",   "febuary",
+          "",          "zürich",      "東京",       "café",
+          "12/3/2020", "555-123-4567", "fl",         "Hello World",
+          long_value};
+}
+
+// FNV-1a over raw bytes: independent of util/hashing.h, which the models
+// themselves use.
+struct GoldenHash {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void Rows(const BackendRows& rows) {
+    Bytes(&rows.width, sizeof(rows.width));
+    for (float x : rows.data) {
+      const uint32_t bits = std::bit_cast<uint32_t>(x);
+      Bytes(&bits, sizeof(bits));
+    }
+    Bytes(rows.ok.data(), rows.ok.size());
+  }
+  void Distances(std::span<const double> d) {
+    for (double x : d) {
+      const uint64_t bits = std::bit_cast<uint64_t>(x);
+      Bytes(&bits, sizeof(bits));
+    }
+  }
+};
+
+TEST(GoldenBitsTest, SharedModelRowsAndDistances) {
+  const std::vector<std::string> values = GoldenValues();
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  const std::shared_ptr<CtaModelZoo> zoos[] = {SharedSherlockSim(),
+                                              SharedDoduoSim()};
+  const std::shared_ptr<embed::EmbeddingModel> models[] = {
+      embed::SharedGloveSim(), embed::SharedSbertSim()};
+  // Centroid values each embedding model can embed (GloVe: head only).
+  const std::vector<std::string> centroids[] = {
+      {"germany", "seattle", "january"},
+      {"germany", "seattle", "january", "omayra", "zz-unknown-string-42"}};
+
+  std::map<std::string, uint64_t> got;
+  std::vector<double> dist(views.size());
+  for (const auto& zoo : zoos) {
+    GoldenHash rows_hash;
+    GoldenHash dist_hash;
+    for (size_t t = 0; t < zoo->num_types(); ++t) {
+      const std::unique_ptr<DomainEvalFunction> f = MakeCtaEval(zoo.get(), t);
+      BackendRows rows;
+      f->ComputeBackendRows(views, &rows);
+      if (t == 0) rows_hash.Rows(rows);
+      f->DistanceFromRows(rows, dist);
+      dist_hash.Distances(dist);
+    }
+    got["rows:" + zoo->name()] = rows_hash.h;
+    got["dist:" + zoo->name()] = dist_hash.h;
+  }
+  for (size_t m = 0; m < 2; ++m) {
+    const embed::EmbeddingModel* model = models[m].get();
+    GoldenHash rows_hash;
+    GoldenHash dist_hash;
+    for (size_t c = 0; c < centroids[m].size(); ++c) {
+      const std::unique_ptr<DomainEvalFunction> f =
+          MakeEmbeddingEval(model, centroids[m][c]);
+      BackendRows rows;
+      f->ComputeBackendRows(views, &rows);
+      if (c == 0) rows_hash.Rows(rows);
+      f->DistanceFromRows(rows, dist);
+      dist_hash.Distances(dist);
+    }
+    got["rows:" + model->name()] = rows_hash.h;
+    got["dist:" + model->name()] = dist_hash.h;
+  }
+
+  const std::map<std::string, uint64_t> want = {
+      {"rows:sherlock-sim", 0x1ae6d8e48dd7ca6fULL},
+      {"dist:sherlock-sim", 0x8da1003ade140563ULL},
+      {"rows:doduo-sim", 0xe87f320a8ba9944cULL},
+      {"dist:doduo-sim", 0x06d64e02dd4ddf9fULL},
+      {"rows:glove-sim", 0x217a52b5bbf94c1bULL},
+      {"dist:glove-sim", 0xe918557119fe6c9aULL},
+      {"rows:sbert-sim", 0x49bab48ae8cdaba1ULL},
+      {"dist:sbert-sim", 0x831ceeff8360d304ULL},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, hash] : want) {
+    EXPECT_EQ(got.at(name), hash)
+        << name << " hashes to 0x" << std::hex << got.at(name);
+  }
+}
+
+// The golden values plus `n` more: gazetteer head and tail members,
+// machine-generated values and random strings of up to 40 bytes drawn
+// from printable ASCII and the bytes of two UTF-8 letters.
+std::vector<std::string> GeneratedValues(size_t n) {
+  std::vector<std::string> values = GoldenValues();
+  const size_t want = values.size() + n;
+  const auto& domains = datagen::Gazetteer::Instance().domains();
+  util::Rng rng(0x5ca1e);
+  const std::string letters =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -./,:@"
+      "\xc3\xa9\xc3\xbc";
+  const std::vector<char> alphabet(letters.begin(), letters.end());
+  while (values.size() < want) {
+    const datagen::Domain& d = rng.Pick(domains);
+    switch (values.size() % 4) {
+      case 0:
+        if (!d.head.empty()) values.push_back(rng.Pick(d.head));
+        break;
+      case 1:
+        if (!d.tail.empty()) values.push_back(rng.Pick(d.tail));
+        break;
+      case 2:
+        if (d.has_generator()) values.push_back(d.generator(rng));
+        break;
+      default: {
+        std::string v(static_cast<size_t>(rng.UniformInt(0, 40)), ' ');
+        for (char& c : v) c = rng.Pick(alphabet);
+        values.push_back(std::move(v));
+      }
+    }
+  }
+  return values;
+}
+
+// The CTA kernel against the dense loop it replaced: for both shipped
+// zoos, scores computed cold (a fresh zoo, every value a miss) skip zero
+// features yet equal the dense matmul's bit for bit.
+TEST(KernelOracleTest, SparseScoringMatchesDenseLoop) {
+  const std::vector<std::string> values = GeneratedValues(2000);
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  const std::pair<CtaZooConfig, std::shared_ptr<CtaModelZoo>> zoos[] = {
+      {SherlockSimConfig(), SharedSherlockSim()},
+      {DoduoSimConfig(), SharedDoduoSim()}};
+  for (const auto& [config, shipped] : zoos) {
+    const std::unique_ptr<CtaModelZoo> zoo =
+        CtaModelZoo::FromWeights(config, shipped->weights());
+    const ml::FeatureExtractor extractor(config.feature_config);
+    const size_t nt = zoo->num_types();
+    std::vector<float> rows(views.size() * nt);
+    for (size_t off = 0; off < views.size(); off += 256) {
+      const size_t len = std::min<size_t>(256, views.size() - off);
+      zoo->ScoreRows(std::span(views).subspan(off, len), &rows[off * nt]);
+    }
+    size_t mismatches = 0;
+    for (size_t i = 0; i < views.size(); ++i) {
+      const std::vector<float> want =
+          oracle::DenseScoreAllTypes(extractor, zoo->weights(), views[i]);
+      if (std::memcmp(want.data(), &rows[i * nt], nt * sizeof(float)) != 0) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << zoo->name();
   }
 }
 
