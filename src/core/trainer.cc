@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <typeinfo>
 #include <unordered_set>
 
+#include "core/threshold_bytes.h"
 #include "embed/vector_math.h"
 #include "stats/statistics.h"
 #include "table/column_store.h"
@@ -45,23 +47,34 @@ struct FunctionResult {
   double synthetic_seconds = 0.0;
 };
 
-// Grid thresholds for one evaluation function.
+// Grid thresholds for one evaluation function: its ni inner thresholds
+// d_in, then its outer thresholds d_out, in one non-decreasing list, the
+// bounds of its bucket bytes (ThresholdByte).
 struct Thresholds {
-  std::vector<double> d_ins;
-  std::vector<double> d_outs;
+  std::vector<double> bounds;
+  size_t ni = 0;
+
+  size_t no() const { return bounds.size() - ni; }
+  double d_in(size_t i) const { return bounds[i]; }
+  double d_out(size_t o) const { return bounds[ni + o]; }
 };
 
 Thresholds MakeThresholds(const typedet::DomainEvalFunction& eval) {
   Thresholds t;
   if (eval.binary()) {
     // Binary distances {0, 1}: the only meaningful inner/outer pair.
-    t.d_ins = {0.0};
-    t.d_outs = {0.5};
-    return t;
+    t.bounds = {0.0, 0.5};
+    t.ni = 1;
+  } else {
+    double range = eval.max_distance();
+    for (double f : kDInFracs) t.bounds.push_back(f * range);
+    for (double f : kDOutFracs) t.bounds.push_back(f * range);
+    t.ni = kDInFracs.size();
   }
-  double range = eval.max_distance();
-  for (double f : kDInFracs) t.d_ins.push_back(f * range);
-  for (double f : kDOutFracs) t.d_outs.push_back(f * range);
+  // Every d_in is at most every d_out (0.4 * range <= 0.5 * range for a
+  // non-negative range), so one byte counts both lists.
+  AT_CHECK_MSG(std::is_sorted(t.bounds.begin(), t.bounds.end()),
+               "threshold grid is not ascending (negative max_distance?)");
   return t;
 }
 
@@ -154,48 +167,17 @@ void PrefixSumBuckets(size_t num_m, EvalPass* pass) {
   }
 }
 
-// Weighted count of column values at or under each threshold. The
-// thresholds are ascending (the fixed grids scaled by a non-negative
-// max_distance), so for every (id, weight) pair the first threshold >= its
-// distance gets a histogram increment, and a prefix sum turns the
-// histogram into cumulative counts — one bucket scan per value instead of
-// one comparison per (value, threshold). This computes exactly `weight
-// where distance <= threshold`, the same comparison ComputeProfile's
-// sorted upper_bound evaluates.
-void CountWithinThresholds(std::span<const uint32_t> ids,
-                           std::span<const uint32_t> counts,
-                           const std::vector<double>& pool_dist,
-                           const std::vector<double>& thresholds,
-                           uint64_t* within) {
-  const size_t nt = thresholds.size();
-  // hist[b]: weight whose first satisfied threshold is b (nt = none).
-  std::vector<uint64_t> hist(nt + 1, 0);
-  for (size_t j = 0; j < ids.size(); ++j) {
-    double d = pool_dist[ids[j]];
-    size_t b = 0;
-    while (b < nt && d > thresholds[b]) ++b;
-    hist[b] += counts[j];
-  }
-  uint64_t acc = 0;
-  for (size_t t = 0; t < nt; ++t) {
-    acc += hist[t];
-    within[t] = acc;
-  }
-}
-
-// Corpus pass (DESIGN.md §4k): from the function's distance for every
-// pool value, per-column statistics are gathered by pool id — no
-// per-column profiles.
-EvalPass BuildPass(const table::ColumnStore& store,
-                   const std::vector<double>& pool_dist, const Thresholds& th,
-                   const TrainOptions& options) {
+// Corpus pass (DESIGN.md §4k): per-column statistics folded from the
+// function's bucket byte for every pool value, one histogram of at most
+// 19 bins per column, no per-column profiles.
+EvalPass BuildPass(const table::ColumnStore& store, const uint8_t* bytes,
+                   const Thresholds& th, const TrainOptions& options) {
   const size_t num_cols = store.num_columns();
-  const size_t ni = th.d_ins.size();
-  const size_t no = th.d_outs.size();
+  const size_t ni = th.ni;
+  const size_t no = th.no();
   EvalPass pass = MakeEvalPass(num_cols, options.m_grid.size(), ni, no);
 
-  std::vector<uint64_t> within_in(ni);
-  std::vector<uint64_t> within_out(no);
+  std::vector<uint64_t> within(th.bounds.size());
   std::vector<uint32_t> cov(ni);
   std::vector<uint8_t> trig(no);
   for (size_t c = 0; c < num_cols; ++c) {
@@ -204,15 +186,13 @@ EvalPass BuildPass(const table::ColumnStore& store,
         col.size() < options.min_distinct_values) {
       continue;
     }
-    CountWithinThresholds(col.ids, col.counts, pool_dist, th.d_ins,
-                          within_in.data());
-    CountWithinThresholds(col.ids, col.counts, pool_dist, th.d_outs,
-                          within_out.data());
+    CountWithinBytes(col.ids, col.counts, bytes, th.bounds.size(),
+                     within.data());
     for (size_t i = 0; i < ni; ++i) {
-      cov[i] = static_cast<uint32_t>(within_in[i]);
+      cov[i] = static_cast<uint32_t>(within[i]);
     }
     for (size_t o = 0; o < no; ++o) {
-      trig[o] = col.total_weight - within_out[o] > 0 ? 1 : 0;
+      trig[o] = col.total_weight - within[ni + o] > 0 ? 1 : 0;
     }
     FoldColumn(options, c, static_cast<uint32_t>(col.total_weight),
                cov.data(), trig.data(), &pass);
@@ -242,7 +222,7 @@ std::vector<PendingCandidate> EnumerateCandidates(
   const int64_t n_total = static_cast<int64_t>(pass.eligible_cols);
   for (size_t i = 0; i < ni; ++i) {
     for (size_t o = 0; o < no; ++o) {
-      if (th.d_outs[o] <= th.d_ins[i]) continue;
+      if (th.d_out(o) <= th.d_in(i)) continue;
       for (size_t k = 0; k < num_m; ++k) {
         ++res->enumerated;
         int64_t covered = pass.bucket_c[i * num_m + k];
@@ -290,8 +270,8 @@ std::vector<PendingCandidate> EnumerateCandidates(
         cand.i = i;
         cand.sdc.eval_index = fi;
         cand.sdc.eval = &eval;
-        cand.sdc.d_in = th.d_ins[i];
-        cand.sdc.d_out = th.d_outs[o];
+        cand.sdc.d_in = th.d_in(i);
+        cand.sdc.d_out = th.d_out(o);
         cand.sdc.m = options.m_grid[k];
         cand.sdc.confidence = confidence;
         cand.sdc.fpr = static_cast<double>(covered_trig) /
@@ -308,10 +288,12 @@ std::vector<PendingCandidate> EnumerateCandidates(
 
 // Distant-supervision detections (paper Eq. 10) for the surviving
 // candidates: its own phase, timed as recall estimation by the caller —
-// candidate timing no longer absorbs a clock-pair per survivor.
+// candidate timing no longer absorbs a clock-pair per survivor. It reads
+// the synthetic error values' exact distances, so a NaN distance counts
+// as outside every threshold here while the fold counts it as within.
 void DetectSynthetic(const TrainOptions& options, const EvalPass& pass,
                      const std::vector<SyntheticColumn>& synthetic,
-                     const std::vector<double>& syn_dist,
+                     std::span<const double> syn_dist,
                      std::vector<PendingCandidate> pending,
                      FunctionResult* res) {
   const size_t ni = pass.ni;
@@ -342,16 +324,22 @@ void DetectSynthetic(const TrainOptions& options, const EvalPass& pass,
 }  // namespace
 
 std::vector<SyntheticColumn> BuildSyntheticCorpus(const table::Corpus& corpus,
-                                                  size_t count,
-                                                  uint64_t seed) {
+                                                  size_t count, uint64_t seed,
+                                                  size_t num_threads) {
   AT_CHECK(corpus.size() >= 2);
   util::Rng rng(seed);
-  // Per-column value sets to reject alien values that are actually valid
-  // members of the base column.
-  std::vector<std::unordered_set<std::string>> value_sets(corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    value_sets[i].insert(corpus[i].values.begin(), corpus[i].values.end());
-  }
+  // Per-column sets of views into the corpus's values, to reject alien
+  // values that are actually valid members of the base column.
+  std::vector<std::unordered_set<std::string_view>> value_sets(corpus.size());
+  util::parallel::Options par_opt;
+  par_opt.num_threads = num_threads;
+  util::parallel::ParallelFor(
+      corpus.size(),
+      [&](size_t i) {
+        value_sets[i].insert(corpus[i].values.begin(),
+                             corpus[i].values.end());
+      },
+      par_opt);
   std::vector<SyntheticColumn> out;
   out.reserve(count);
   int64_t n = static_cast<int64_t>(corpus.size());
@@ -395,8 +383,9 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
       corpus.size(),
       [&](size_t i) { distinct[i] = table::Distinct(corpus[i]); }, par_opt);
 
-  std::vector<SyntheticColumn> synthetic = BuildSyntheticCorpus(
-      corpus, options.synthetic_count, options.seed ^ 0x5f5f5f5fULL);
+  std::vector<SyntheticColumn> synthetic =
+      BuildSyntheticCorpus(corpus, options.synthetic_count,
+                           options.seed ^ 0x5f5f5f5fULL, options.num_threads);
 
   // Intern every distinct value once into the shared arena-backed pool.
   // Synthetic error values are donor values from the corpus, so they
@@ -423,50 +412,17 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
   util::parallel::Options eval_opt = par_opt;
   eval_opt.grain = 1;
 
-  // Shared backends (CTA zoos, embedding models), in first-function order:
-  // backends[k] is the first function reading backend k, and
-  // backend_of[fi] is function fi's backend, or kNoBackend.
-  constexpr size_t kNoBackend = SIZE_MAX;
-  std::vector<const typedet::DomainEvalFunction*> backends;
-  std::vector<size_t> backend_of(evals.size(), kNoBackend);
+  // Each function's threshold grid, the bounds of its bucket bytes.
+  std::vector<Thresholds> thresholds(evals.size());
   for (size_t fi = 0; fi < evals.size(); ++fi) {
-    const void* id = evals.at(fi).backend();
-    if (id == nullptr) continue;
-    size_t k = 0;
-    while (k < backends.size() && backends[k]->backend() != id) ++k;
-    if (k == backends.size()) backends.push_back(&evals.at(fi));
-    backend_of[fi] = k;
+    thresholds[fi] = MakeThresholds(evals.at(fi));
   }
 
-  // Backend rows: one task per (backend, pool block) pair, so every
-  // backend computes every block exactly once, before any family folds.
-  // rows[k * num_blocks + b] holds backend k's rows for block b. The
-  // tasks' time counts as candidate generation, like the scoring it feeds.
-  const std::span<const std::string_view> pool = store.pool();
-  const size_t num_blocks =
-      (pool.size() + kEvalBatchSize - 1) / kEvalBatchSize;
-  std::vector<typedet::BackendRows> rows(backends.size() * num_blocks);
-  std::vector<double> row_seconds(rows.size(), 0.0);
-  util::parallel::ParallelFor(
-      rows.size(),
-      [&](size_t task) {
-        auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        const typedet::DomainEvalFunction& first =
-            *backends[task / num_blocks];
-        const size_t off = (task % num_blocks) * kEvalBatchSize;
-        const size_t n = std::min(kEvalBatchSize, pool.size() - off);
-        first.ComputeBackendRows(pool.subspan(off, n), &rows[task]);
-        auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        row_seconds[task] = Seconds(t0, t1);
-      },
-      eval_opt);
-
-  // Function tasks: one per function, except that each run of at most
-  // embed::kMaxCentroidGroup consecutive embedding functions of one model
-  // (same backend and dynamic type) is one task, whose distances come
-  // from one pass over the model's rows. A task holds one pool-sized
-  // distance vector per function.
-  struct FunctionTask {
+  // Runs: each run of at most embed::kMaxCentroidGroup consecutive
+  // embedding functions of one model (same backend and dynamic type)
+  // takes one GroupDistanceFromRows call per block, one pass over the
+  // model's rows; every other function is a run of one.
+  struct Run {
     size_t first = 0;
     size_t count = 1;
   };
@@ -477,122 +433,166 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
            a.backend() != nullptr && a.backend() == b.backend() &&
            typeid(a) == typeid(b);
   };
-  std::vector<FunctionTask> tasks;
-  for (size_t fi = 0; fi < evals.size(); fi += tasks.back().count) {
-    tasks.push_back(FunctionTask{fi, 1});
-    while (tasks.back().count < embed::kMaxCentroidGroup &&
-           fi + tasks.back().count < evals.size() &&
-           groups_with(fi, fi + tasks.back().count)) {
-      ++tasks.back().count;
+  std::vector<Run> runs;
+  for (size_t fi = 0; fi < evals.size(); fi += runs.back().count) {
+    runs.push_back(Run{fi, 1});
+    while (runs.back().count < embed::kMaxCentroidGroup &&
+           fi + runs.back().count < evals.size() &&
+           groups_with(fi, fi + runs.back().count)) {
+      ++runs.back().count;
     }
   }
 
-  std::vector<FunctionResult> results(evals.size());
-  std::vector<double> distance_seconds(tasks.size(), 0.0);
-  util::parallel::ParallelFor(
-      tasks.size(),
-      [&](size_t task) {
-        // Injected allocation/compute fault per evaluation function. The
-        // decision is keyed on the function index so which function
-        // faults is independent of pool scheduling and grouping;
-        // retryable codes are retried in place (pure CPU work — no backoff
-        // needed), permanent codes or an exhausted budget drop the
-        // function (counted) and train on the rest.
-        const size_t budget = options.eval_retry_attempts > 0
-                                  ? options.eval_retry_attempts
-                                  : 1;
-        std::vector<const typedet::DomainEvalFunction*> group;
-        std::vector<size_t> group_fi;
-        for (size_t fi = tasks[task].first;
-             fi < tasks[task].first + tasks[task].count; ++fi) {
-          for (size_t attempt = 0; attempt < budget; ++attempt) {
-            auto injected = util::FailpointFiresKeyed(
-                util::kFpTrainerEval,
-                fi * 0x9e3779b97f4a7c15ULL + attempt,
-                util::StatusCode::kResourceExhausted);
-            if (!injected) break;
-            if (!util::IsRetryableCode(*injected) || attempt + 1 == budget) {
-              results[fi].skipped = true;
-              break;
-            }
-          }
-          if (results[fi].skipped) continue;
-          group.push_back(&evals.at(fi));
-          group_fi.push_back(fi);
-        }
-        if (group.empty()) return;
+  // Sources: each shared backend (CTA zoo, embedding model) in
+  // first-function order, with its runs and the first function reading it,
+  // which computes the rows for all; then one source for the functions
+  // without a backend.
+  struct Source {
+    const typedet::DomainEvalFunction* backend = nullptr;
+    std::vector<Run> runs;
+  };
+  std::vector<Source> sources;
+  Source no_backend;
+  for (const Run& run : runs) {
+    const typedet::DomainEvalFunction& lead = evals.at(run.first);
+    if (lead.backend() == nullptr) {
+      no_backend.runs.push_back(run);
+      continue;
+    }
+    auto it =
+        std::find_if(sources.begin(), sources.end(), [&](const Source& s) {
+          return s.backend->backend() == lead.backend();
+        });
+    if (it == sources.end()) it = sources.insert(it, Source{&lead, {}});
+    it->runs.push_back(run);
+  }
+  if (!no_backend.runs.empty()) sources.push_back(std::move(no_backend));
 
-        // The group's distance for every pool value: from the backend's
-        // rows, one block at a time, or value by value through Distance.
+  // Block pass: one task per (source, 256-value pool block), so every
+  // backend computes every block's rows exactly once, into per-thread
+  // scratch. The task turns them into each run's distances for the block
+  // (the backend-less source loops Distance over it) and each distance at
+  // once into the function's bucket byte. Only the bytes, one per
+  // (function, pool value), and the exact distances of the synthetic
+  // error values outlive the task. The tasks' time counts as candidate
+  // generation, like the scoring it feeds.
+  const std::span<const std::string_view> pool = store.pool();
+  const size_t num_blocks =
+      (pool.size() + kEvalBatchSize - 1) / kEvalBatchSize;
+  const size_t num_syn = synthetic.size();
+  std::vector<uint8_t> bytes(evals.size() * pool.size());
+  std::vector<double> syn_dist(evals.size() * num_syn);
+  // syn_of_block[b]: the synthetic columns whose error value is in block b.
+  std::vector<std::vector<uint32_t>> syn_of_block(num_blocks);
+  for (size_t j = 0; j < num_syn; ++j) {
+    syn_of_block[syn_ids[j] / kEvalBatchSize].push_back(
+        static_cast<uint32_t>(j));
+  }
+  std::vector<double> block_seconds(sources.size() * num_blocks, 0.0);
+  util::parallel::ParallelFor(
+      block_seconds.size(),
+      [&](size_t task) {
         auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        const typedet::DomainEvalFunction& lead = *group[0];
-        std::vector<std::vector<double>> pool_dist(
-            group.size(), std::vector<double>(pool.size()));
-        if (lead.backend() == nullptr) {
-          for (size_t v = 0; v < pool.size(); ++v) {
-            pool_dist[0][v] = lead.Distance(pool[v]);
+        const Source& source = sources[task / num_blocks];
+        const size_t block = task % num_blocks;
+        const size_t off = block * kEvalBatchSize;
+        const size_t n = std::min(kEvalBatchSize, pool.size() - off);
+        const std::span<const std::string_view> values =
+            pool.subspan(off, n);
+        thread_local typedet::BackendRows rows;
+        thread_local std::vector<double> dist(embed::kMaxCentroidGroup *
+                                              kEvalBatchSize);
+        if (source.backend != nullptr) {
+          source.backend->ComputeBackendRows(values, &rows);
+        }
+        std::array<const typedet::DomainEvalFunction*,
+                   embed::kMaxCentroidGroup>
+            group;
+        std::array<double*, embed::kMaxCentroidGroup> outs;
+        for (const Run& run : source.runs) {
+          for (size_t g = 0; g < run.count; ++g) {
+            group[g] = &evals.at(run.first + g);
+            outs[g] = dist.data() + g * kEvalBatchSize;
           }
-        } else {
-          const size_t backend = backend_of[group_fi[0]];
-          std::vector<double*> outs(group.size());
-          for (size_t b = 0; b < num_blocks; ++b) {
-            for (size_t g = 0; g < group.size(); ++g) {
-              outs[g] = pool_dist[g].data() + b * kEvalBatchSize;
+          if (source.backend != nullptr) {
+            group[0]->GroupDistanceFromRows({group.data(), run.count}, rows,
+                                            {outs.data(), run.count});
+          } else {
+            for (size_t v = 0; v < n; ++v) {
+              outs[0][v] = group[0]->Distance(values[v]);
             }
-            lead.GroupDistanceFromRows(group, rows[backend * num_blocks + b],
-                                       outs);
+          }
+          for (size_t g = 0; g < run.count; ++g) {
+            const size_t fi = run.first + g;
+            const std::span<const double> bounds = thresholds[fi].bounds;
+            uint8_t* out = bytes.data() + fi * pool.size() + off;
+            for (size_t v = 0; v < n; ++v) {
+              out[v] = ThresholdByte(bounds, outs[g][v]);
+            }
+            for (uint32_t j : syn_of_block[block]) {
+              syn_dist[fi * num_syn + j] = outs[g][syn_ids[j] - off];
+            }
           }
         }
         auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        distance_seconds[task] = Seconds(t0, t1);
+        block_seconds[task] = Seconds(t0, t1);
+      },
+      eval_opt);
 
-        Clock::time_point mark = t1;
-        for (size_t g = 0; g < group.size(); ++g) {
-          const size_t fi = group_fi[g];
-          FunctionResult& res = results[fi];
-          const auto& eval = *group[g];
-          Thresholds th = MakeThresholds(eval);
-
-          // Corpus pass: coverage/trigger accumulators over the pool.
-          EvalPass pass = BuildPass(store, pool_dist[g], th, options);
-          auto t2 = Clock::now();  // at_lint: disable(R2) phase timing
-          res.candidate_seconds += Seconds(mark, t2);
-
-          // Distances of the synthetic alien values (recall estimation),
-          // gathered from the pool evaluation.
-          std::vector<double> syn_dist(synthetic.size());
-          for (size_t j = 0; j < synthetic.size(); ++j) {
-            syn_dist[j] = pool_dist[g][syn_ids[j]];
+  // Function pass: one task per function folds its corpus columns from its
+  // bytes, enumerates and tests the candidate grid, and runs the
+  // synthetic detections.
+  std::vector<FunctionResult> results(evals.size());
+  util::parallel::ParallelFor(
+      evals.size(),
+      [&](size_t fi) {
+        // Injected allocation/compute fault per evaluation function. The
+        // decision is keyed on the function index so which function
+        // faults is independent of pool scheduling; retryable codes are
+        // retried in place (pure CPU work — no backoff needed), permanent
+        // codes or an exhausted budget drop the function (counted) and
+        // train on the rest.
+        FunctionResult& res = results[fi];
+        const size_t budget = options.eval_retry_attempts > 0
+                                  ? options.eval_retry_attempts
+                                  : 1;
+        for (size_t attempt = 0; attempt < budget; ++attempt) {
+          auto injected = util::FailpointFiresKeyed(
+              util::kFpTrainerEval, fi * 0x9e3779b97f4a7c15ULL + attempt,
+              util::StatusCode::kResourceExhausted);
+          if (!injected) break;
+          if (!util::IsRetryableCode(*injected) || attempt + 1 == budget) {
+            res.skipped = true;
+            break;
           }
-          auto t3 = Clock::now();  // at_lint: disable(R2) phase timing
-          res.synthetic_seconds += Seconds(t2, t3);
-
-          // Candidate grid: enumeration + statistical tests, no clock
-          // reads.
-          std::vector<PendingCandidate> pending = EnumerateCandidates(
-              options, th, pass, fi, eval, min_cov, &res);
-          auto t4 = Clock::now();  // at_lint: disable(R2) phase timing
-          res.candidate_seconds += Seconds(t3, t4);
-
-          // Deferred detection pass for the survivors, attributed to
-          // recall estimation as one block (the per-candidate clock pair
-          // this replaces leaked detect time into candidate_gen on small
-          // grids).
-          DetectSynthetic(options, pass, synthetic, syn_dist,
-                          std::move(pending), &res);
-          mark = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-          res.synthetic_seconds += Seconds(t4, mark);
         }
+        if (res.skipped) return;
+
+        // Corpus pass, then the candidate grid: enumeration + statistical
+        // tests, no clock reads.
+        auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+        const Thresholds& th = thresholds[fi];
+        EvalPass pass =
+            BuildPass(store, bytes.data() + fi * pool.size(), th, options);
+        std::vector<PendingCandidate> pending = EnumerateCandidates(
+            options, th, pass, fi, evals.at(fi), min_cov, &res);
+        auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+        res.candidate_seconds = Seconds(t0, t1);
+
+        // Deferred detection pass for the survivors, attributed to recall
+        // estimation as one block.
+        DetectSynthetic(options, pass, synthetic,
+                        {syn_dist.data() + fi * num_syn, num_syn},
+                        std::move(pending), &res);
+        auto t2 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
+        res.synthetic_seconds = Seconds(t1, t2);
       },
       eval_opt);
 
   // Deterministic merge in function order.
   TrainedModel model;
   model.num_synthetic = synthetic.size();
-  for (double seconds : row_seconds) {
-    model.timings.candidate_gen_seconds += seconds;
-  }
-  for (double seconds : distance_seconds) {
+  for (double seconds : block_seconds) {
     model.timings.candidate_gen_seconds += seconds;
   }
   for (auto& res : results) {

@@ -13,7 +13,9 @@ namespace autotest::core {
 
 /// Inner/outer thresholds as fractions of each evaluation function's
 /// max_distance (paper Section 5.1; binary families collapse to a single
-/// pair). Ascending, which the trainer's one-scan threshold counts rely on.
+/// pair). Ascending, and every d_in below every d_out, so a function's
+/// d_ins followed by its d_outs form one non-decreasing list: the bounds
+/// of its bucket bytes (core/threshold_bytes.h).
 inline constexpr std::array<double, 8> kDInFracs = {
     0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4};
 inline constexpr std::array<double, 10> kDOutFracs = {
@@ -84,10 +86,14 @@ struct SyntheticColumn {
 };
 
 /// Builds the synthetic corpus: count columns, each pairing a random base
-/// column with an alien value from a different column.
+/// column with an alien value from a different column. The output depends
+/// only on the corpus, count and seed. num_threads bounds the threads that
+/// index the columns' values first: 1 (the default) indexes them on the
+/// calling thread, 0 on the CPUs in the process's affinity mask, and
+/// TrainAutoTest passes TrainOptions::num_threads.
 std::vector<SyntheticColumn> BuildSyntheticCorpus(const table::Corpus& corpus,
-                                                  size_t count,
-                                                  uint64_t seed);
+                                                  size_t count, uint64_t seed,
+                                                  size_t num_threads = 1);
 
 struct TrainTimings {
   double candidate_gen_seconds = 0.0;  // enumeration + statistical tests
@@ -121,11 +127,13 @@ struct TrainedModel {
 /// Runs offline training (candidate generation + statistical assessment +
 /// recall estimation) against the corpus. Deterministic in options.seed.
 /// The corpus pass is columnar (DESIGN.md §4k): every distinct corpus
-/// value is interned once into a shared arena-backed pool, each shared
-/// backend (DomainEvalFunction::backend()) computes its rows once per
-/// 256-value block of the pool, and each evaluation function then scores
-/// the pool from its backend's rows, or value by value through Distance
-/// when it has no backend.
+/// value is interned once into a shared arena-backed pool. A block pass
+/// then computes each shared backend's (DomainEvalFunction::backend())
+/// rows once per 256-value block of the pool, turns them into every
+/// function's distances for the block, or scores the block value by value
+/// through Distance for the functions without a backend, and keeps one
+/// bucket byte per (function, pool value). A function pass folds each
+/// function's corpus columns from its bytes.
 TrainedModel TrainAutoTest(const table::Corpus& corpus,
                            const typedet::EvalFunctionSet& evals,
                            const TrainOptions& options = {});

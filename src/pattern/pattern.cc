@@ -81,18 +81,17 @@ bool MatchFrom(const std::vector<Atom>& atoms, size_t ai,
     ++p;
     ++taken;
   }
-  // Greedily extend, then backtrack.
-  std::vector<size_t> stops;
-  stops.push_back(p);
+  // Greedily extend, then backtrack: the atom can stop anywhere in
+  // [first, p], and the stops are tried from p down.
+  const size_t first = p;
   while ((a.max_len == Atom::kUnbounded ||
           taken < static_cast<size_t>(a.max_len)) &&
          p < value.size() && a.MatchesChar(value[p])) {
     ++p;
     ++taken;
-    stops.push_back(p);
   }
-  for (size_t k = stops.size(); k > 0; --k) {
-    if (MatchFrom(atoms, ai + 1, value, stops[k - 1])) return true;
+  for (size_t stop = p + 1; stop-- > first;) {
+    if (MatchFrom(atoms, ai + 1, value, stop)) return true;
   }
   return false;
 }

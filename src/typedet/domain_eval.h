@@ -54,8 +54,9 @@ class DomainEvalFunction {
   Family family() const { return family_; }
 
   /// Distance between the type represented by this function and `value`.
-  /// Must be deterministic and thread-safe. Callers scoring a block of
-  /// values through a function without a backend loop over it.
+  /// Must be deterministic and thread-safe: callers scoring a block of
+  /// values through a function without a backend loop over it, and the
+  /// trainer scores several blocks of its pool at once.
   virtual double Distance(std::string_view value) const = 0;
 
   /// Identity of the shared model this function reads (its CTA zoo or

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <cctype>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "core/auto_test.h"
@@ -9,8 +12,10 @@
 #include "core/sdc.h"
 #include "core/selection.h"
 #include "core/serialization.h"
+#include "core/threshold_bytes.h"
 #include "core/trainer.h"
 #include "datagen/corpus_gen.h"
+#include "kernel_oracles.h"
 #include "table/column_store.h"
 #include "typedet/eval_functions.h"
 
@@ -93,12 +98,169 @@ TEST(SyntheticCorpusTest, IdenticalColumnsAbortInsteadOfSpinning) {
 
 TEST(SyntheticCorpusTest, Deterministic) {
   auto corpus = datagen::GenerateCorpus(datagen::TablibProfile(100, 3));
-  auto a = BuildSyntheticCorpus(corpus, 100, 7);
-  auto b = BuildSyntheticCorpus(corpus, 100, 7);
+  auto a = BuildSyntheticCorpus(corpus, 100, 7, 1);
+  auto b = BuildSyntheticCorpus(corpus, 100, 7, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].base_column, b[i].base_column);
     EXPECT_EQ(a[i].error_value, b[i].error_value);
+  }
+}
+
+// The trainer folds a column's counts within each threshold from its
+// values' bucket bytes. The per-value scan the bytes replaced,
+// oracle::CountWithinThresholds over a function's d_ins and over its
+// d_outs, must give the same counts: for distances exactly at a threshold
+// and one ulp either side, NaN, infinities and negative distances, on the
+// grids of several ranges (range 0 makes every threshold equal) and the
+// binary grid, with counts above 1.
+TEST(ThresholdByteTest, CountsMatchThresholdScan) {
+  struct Grid {
+    std::vector<double> d_ins;
+    std::vector<double> d_outs;
+  };
+  std::vector<Grid> grids;
+  for (double range : {1.0, 0.0, 0.37, 7.25}) {
+    Grid g;
+    for (double f : kDInFracs) g.d_ins.push_back(f * range);
+    for (double f : kDOutFracs) g.d_outs.push_back(f * range);
+    grids.push_back(g);
+  }
+  grids.push_back(Grid{{0.0}, {0.5}});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Grid& g : grids) {
+    std::vector<double> bounds = g.d_ins;
+    bounds.insert(bounds.end(), g.d_outs.begin(), g.d_outs.end());
+    std::vector<double> dist = {std::nan(""), inf, -inf, -1.0,
+                                -0.0,         0.0, 1.0,  2.0};
+    for (double t : bounds) {
+      dist.push_back(t);
+      dist.push_back(std::nextafter(t, -inf));
+      dist.push_back(std::nextafter(t, inf));
+    }
+    std::vector<uint8_t> bytes(dist.size());
+    for (size_t v = 0; v < dist.size(); ++v) {
+      bytes[v] = ThresholdByte(bounds, dist[v]);
+    }
+    EXPECT_EQ(bytes[0], 0) << "NaN";
+
+    // One column per value, then one column holding every value.
+    std::vector<std::vector<uint32_t>> columns;
+    for (uint32_t v = 0; v < dist.size(); ++v) columns.push_back({v});
+    columns.emplace_back(dist.size());
+    std::iota(columns.back().begin(), columns.back().end(), 0u);
+    for (const std::vector<uint32_t>& ids : columns) {
+      std::vector<uint32_t> counts(ids.size());
+      for (size_t j = 0; j < ids.size(); ++j) counts[j] = 1 + ids[j] % 5;
+      std::vector<uint64_t> within(bounds.size());
+      std::vector<uint64_t> in(g.d_ins.size());
+      std::vector<uint64_t> out(g.d_outs.size());
+      CountWithinBytes(ids, counts, bytes.data(), bounds.size(),
+                       within.data());
+      oracle::CountWithinThresholds(ids, counts, dist, g.d_ins, in.data());
+      oracle::CountWithinThresholds(ids, counts, dist, g.d_outs, out.data());
+      SCOPED_TRACE("first distance " + std::to_string(dist[ids[0]]));
+      for (size_t i = 0; i < in.size(); ++i) EXPECT_EQ(within[i], in[i]);
+      for (size_t o = 0; o < out.size(); ++o) {
+        EXPECT_EQ(within[in.size() + o], out[o]);
+      }
+    }
+  }
+}
+
+// Digits-only values lie at distance 0, values holding a '?' at NaN, and
+// every other value at 1.
+class DigitsOrNanEval : public typedet::DomainEvalFunction {
+ public:
+  DigitsOrNanEval()
+      : DomainEvalFunction("test:digits-or-nan", typedet::Family::kFunction) {}
+  double Distance(std::string_view value) const override {
+    if (value.find('?') != std::string_view::npos) return std::nan("");
+    return std::all_of(value.begin(), value.end(),
+                       [](unsigned char c) { return std::isdigit(c); })
+               ? 0.0
+               : 1.0;
+  }
+  double min_distance() const override { return 0.0; }
+  double max_distance() const override { return 1.0; }
+  std::string Describe() const override { return id(); }
+};
+
+// A NaN distance lies within every threshold when the trainer folds the
+// corpus columns, and outside every threshold in the synthetic check,
+// which compares the exact distance (NaN <= d_out is false). The corpus
+// has number columns, number columns holding one '?' value, and word
+// columns: the first two kinds are covered and never triggered, so the
+// '?' values are within the inner ball, while a '?' error value added to
+// a number column is detected exactly like a word.
+TEST(TrainerNanTest, FoldCountsNanWithinAndSyntheticCheckOutside) {
+  const size_t kNumbers = 30;
+  const size_t kMixed = 15;
+  const size_t kWords = 30;
+  table::Corpus corpus;
+  for (size_t c = 0; c < kNumbers + kMixed + kWords; ++c) {
+    table::Column column;
+    column.name = "c" + std::to_string(c);
+    for (size_t k = 0; k < 10; ++k) {
+      const size_t x = c * 10 + k;
+      if (c < kNumbers + kMixed) {
+        column.values.push_back(std::to_string(100000 + x));
+      } else {
+        std::string word = "w";
+        for (size_t y = x; y > 0; y /= 26) word.push_back('a' + y % 26);
+        column.values.push_back(word);
+      }
+    }
+    if (c >= kNumbers && c < kNumbers + kMixed) {
+      column.values.push_back("?" + std::to_string(c));
+    }
+    corpus.push_back(std::move(column));
+  }
+  typedet::EvalFunctionSetOptions none;
+  none.include_cta = false;
+  none.include_embedding = false;
+  none.include_pattern = false;
+  none.include_function = false;
+  typedet::EvalFunctionSet evals =
+      typedet::EvalFunctionSet::Build(corpus, none);
+  evals.Add(std::make_unique<DigitsOrNanEval>());
+  ASSERT_EQ(evals.size(), 1u);
+
+  TrainOptions topt;
+  topt.synthetic_count = 300;
+  const std::vector<SyntheticColumn> synthetic = BuildSyntheticCorpus(
+      corpus, topt.synthetic_count, topt.seed ^ 0x5f5f5f5fULL);
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    topt.num_threads = threads;
+    const TrainedModel model = TrainAutoTest(corpus, evals, topt);
+    ASSERT_FALSE(model.constraints.empty());
+    size_t nan_detections = 0;
+    for (size_t r = 0; r < model.constraints.size(); ++r) {
+      const Sdc& rule = model.constraints[r];
+      EXPECT_EQ(rule.contingency.covered_triggered, 0);
+      EXPECT_EQ(rule.contingency.covered_not_triggered,
+                static_cast<int64_t>(kNumbers + kMixed));
+      EXPECT_EQ(rule.contingency.uncovered_triggered,
+                static_cast<int64_t>(kWords));
+      EXPECT_EQ(rule.contingency.uncovered_not_triggered, 0);
+      // Every value of a number column, '?' included, lies within d_in, so
+      // a word or '?' error value added to one is detected exactly when
+      // the column's values still make up m of the enlarged column.
+      std::vector<uint32_t> expected;
+      for (uint32_t j = 0; j < synthetic.size(); ++j) {
+        const size_t base = synthetic[j].base_column;
+        const double d = evals.at(0).Distance(synthetic[j].error_value);
+        if (d == 0.0 || base >= kNumbers + kMixed) continue;
+        const double total = static_cast<double>(corpus[base].values.size());
+        if (total >= rule.m * (total + 1.0) - 1e-9) expected.push_back(j);
+      }
+      EXPECT_EQ(model.detections[r], expected) << rule.m;
+      for (uint32_t j : model.detections[r]) {
+        if (synthetic[j].error_value[0] == '?') ++nan_detections;
+      }
+    }
+    EXPECT_GT(nan_detections, 0u);
   }
 }
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
+#include "datagen/corpus_gen.h"
+#include "kernel_oracles.h"
 #include "pattern/miner.h"
 #include "pattern/pattern.h"
 #include "table/table.h"
@@ -88,6 +94,57 @@ TEST(PatternMatchTest, EmptyPatternMatchesEmptyOnly) {
   Pattern p;
   EXPECT_TRUE(p.Matches(""));
   EXPECT_FALSE(p.Matches("a"));
+}
+
+// Matches walks each atom's stops from the longest down instead of
+// collecting them in a vector; the booleans must not change. Checked on
+// every pattern mined from a generated corpus, plus both generalizations
+// of a sample of its values, against every distinct value of the corpus,
+// and on hand-written edge cases.
+TEST(PatternMatchTest, BacktrackingMatchesStopVectorOracle) {
+  const table::Corpus corpus =
+      datagen::GenerateCorpus(datagen::RelationalTablesProfile(300));
+  std::set<std::string> distinct;
+  for (const table::Column& column : corpus) {
+    distinct.insert(column.values.begin(), column.values.end());
+  }
+  std::vector<Pattern> patterns;
+  for (const MinedPattern& mined : MinePatterns(corpus)) {
+    patterns.push_back(mined.pattern);
+  }
+  ASSERT_GE(patterns.size(), 10u);
+  size_t sampled = 0;
+  for (const std::string& value : distinct) {
+    if (sampled++ % 97 != 0) continue;
+    patterns.push_back(Generalize(value, GeneralizationLevel::kExactDigits));
+    patterns.push_back(Generalize(value, GeneralizationLevel::kGeneral));
+  }
+  size_t matched = 0;
+  for (const Pattern& p : patterns) {
+    for (const std::string& value : distinct) {
+      const bool expected = oracle::PatternMatchesWithStops(p, value);
+      ASSERT_EQ(p.Matches(value), expected) << p.ToString() << " " << value;
+      if (expected) ++matched;
+    }
+  }
+  EXPECT_GT(matched, distinct.size());
+
+  // The empty value, exact-length and bounded quantifiers, and adjacent
+  // classes that must give characters back to each other.
+  const std::vector<std::string> texts = {
+      "", "\\d", "\\d{3}", "\\d{0}", "\\d{1,3}\\d{2}", "\\d+\\d{2}",
+      "[a-z]+[a-zA-Z]+", "[a-zA-Z]{2}[A-Z]+\\d", "[a-z]{0,2}x", "-\\d+-"};
+  const std::vector<std::string> values = {
+      "", "1", "12", "123", "1234", "12345", "abC", "aB1", "ABC1", "xx", "x",
+      "abx", "abcx", "-12-", "--", "1-2-3", "zzZZ9", "Zz", "a", " ", "12a"};
+  for (const std::string& text : texts) {
+    std::optional<Pattern> p = Pattern::Parse(text);
+    ASSERT_TRUE(p.has_value()) << text;
+    for (const std::string& value : values) {
+      EXPECT_EQ(p->Matches(value), oracle::PatternMatchesWithStops(*p, value))
+          << text << " " << value;
+    }
+  }
 }
 
 TEST(PatternRoundTripTest, ParseToStringStable) {
