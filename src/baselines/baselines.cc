@@ -85,7 +85,7 @@ std::vector<eval::ScoredCell> CtaZScoreDetector::Detect(
                                             distinct.values.end());
   const size_t nt = zoo_->num_types();
   std::vector<float> rows(views.size() * nt);
-  zoo_->ScoreRows(views, rows.data());
+  zoo_->ScoreRows(views, rows.data(), util::MemoWrite::kInsert);
   // Macro step: the best-matching type for the column.
   size_t best_type = 0;
   double best_mean = -1.0;
@@ -132,7 +132,8 @@ std::vector<eval::ScoredCell> EmbeddingZScoreDetector::Detect(
   const size_t dim = model_->dim();
   std::vector<float> rows(views.size() * dim);
   std::vector<uint8_t> ok(views.size());
-  model_->EmbedBlockCached(views, rows.data(), ok.data());
+  model_->EmbedBlockCached(views, rows.data(), ok.data(),
+                           util::MemoWrite::kInsert);
   // Column centroid over embeddable values.
   embed::Vector centroid(dim, 0.0f);
   double total = 0.0;

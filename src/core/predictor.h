@@ -1,6 +1,7 @@
 #ifndef AUTOTEST_CORE_PREDICTOR_H_
 #define AUTOTEST_CORE_PREDICTOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "table/column.h"
 #include "util/budget.h"
 #include "util/retry.h"
+#include "util/row_cache.h"
 #include "util/status.h"
 
 namespace autotest::core {
@@ -58,8 +60,13 @@ struct BudgetedPrediction {
 /// Rules are grouped by their evaluation function so each distinct value's
 /// distance is computed once per function, and identical pre-conditions
 /// within a group are checked once ("compressing" pre-condition checks).
-/// Groups whose functions share a backend (DomainEvalFunction::backend())
-/// share that backend's rows: one row computation per backend per column.
+/// The constructor compiles the rules into a plan (DESIGN.md §4k): each
+/// group lists its distinct d_in values, its distinct (d_in, m)
+/// pre-conditions and its rules, and every value gets one *within* bit per
+/// d_in (`f(v) <= d_in`) and one *beyond* bit per rule (`f(v) > d_out`).
+/// A per-predictor memo maps each value to its bits, so a value the
+/// predictor has seen costs one lookup; only the misses are scored, and
+/// they read the shared models' memos without inserting into them.
 class SdcPredictor {
  public:
   /// `rules` reference evaluation functions owned elsewhere (the
@@ -72,6 +79,9 @@ class SdcPredictor {
   /// stage degrades to the rules it can trust (Figure 5's serve path must
   /// survive stale/corrupt rule files).
   explicit SdcPredictor(std::vector<Sdc> rules);
+  SdcPredictor(SdcPredictor&&) noexcept;
+  SdcPredictor& operator=(SdcPredictor&&) noexcept;
+  ~SdcPredictor();
 
   /// Detects erroneous cells in a column. Returns one entry per offending
   /// row, each carrying the best-rule confidence and explanation.
@@ -96,10 +106,7 @@ class SdcPredictor {
   const std::vector<Sdc>& rules() const { return rules_; }
 
  private:
-  struct Group {
-    const typedet::DomainEvalFunction* eval;
-    std::vector<size_t> rule_ids;
-  };
+  struct Group;
 
   /// Shared implementation: evaluates rule groups until done or (when
   /// `budget` is non-null) the deadline passes. A rejected resource
@@ -110,8 +117,16 @@ class SdcPredictor {
                                      util::Status* resource_error) const;
 
   std::vector<Sdc> rules_;
+  /// Each rule's Describe(), the explanation of its detections.
+  std::vector<std::string> explanations_;
   std::vector<Group> groups_;
+  /// Shared backends the groups read, each with one slot of rows.
+  size_t num_backends_ = 0;
+  /// 32-bit words of comparison bits per value.
+  size_t words_ = 0;
   size_t skipped_rules_ = 0;
+  /// Each value's comparison bits (words_ words), for this plan only.
+  std::unique_ptr<util::RowCache> memo_;
 };
 
 }  // namespace autotest::core

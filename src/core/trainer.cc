@@ -503,7 +503,8 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
         thread_local std::vector<double> dist(embed::kMaxCentroidGroup *
                                               kEvalBatchSize);
         if (source.backend != nullptr) {
-          source.backend->ComputeBackendRows(values, &rows);
+          source.backend->ComputeBackendRows(values, &rows,
+                                             util::MemoWrite::kInsert);
         }
         std::array<const typedet::DomainEvalFunction*,
                    embed::kMaxCentroidGroup>

@@ -124,8 +124,9 @@ class SbertSim : public EmbeddingModel {
 }  // namespace
 
 void EmbeddingModel::EmbedBlockCached(
-    std::span<const std::string_view> values, float* out, uint8_t* ok) const {
-  cache_.Fill(values, dim(), out, ok,
+    std::span<const std::string_view> values, float* out, uint8_t* ok,
+    util::MemoWrite write) const {
+  cache_.Fill(values, dim(), out, ok, write,
               [this](std::string_view value, float* row) {
                 Vector v;
                 if (!Embed(std::string(value), &v)) return false;
@@ -140,7 +141,7 @@ double EmbeddingModel::Distance(std::string_view a, std::string_view b) const {
   const size_t d = dim();
   std::vector<float> rows(2 * d);
   uint8_t ok[2];
-  EmbedBlockCached(values, rows.data(), ok);
+  EmbedBlockCached(values, rows.data(), ok, util::MemoWrite::kInsert);
   if (ok[0] == 0 || ok[1] == 0) return oov_distance();
   double distance = 0.0;
   double* out = &distance;

@@ -34,12 +34,13 @@ class EmbeddingModel {
   /// Memoized Embed over a block of values, the model's only cached entry
   /// point: writes values.size() row-major dim()-wide rows into `out` and
   /// per-value embeddability flags into `ok` (rows with ok == 0 are
-  /// zero-filled). Each distinct value is embedded once until the memo next
-  /// clears (util::RowCache; the embedding dominates distance evaluation
-  /// against many centroids); the rows are what every centroid distance of
-  /// this model reads.
+  /// zero-filled). With util::MemoWrite::kInsert each distinct value is
+  /// embedded once until the memo next clears (util::RowCache; the
+  /// embedding dominates distance evaluation against many centroids);
+  /// kReadOnly reads the memo and inserts nothing. The rows are what every
+  /// centroid distance of this model reads.
   void EmbedBlockCached(std::span<const std::string_view> values, float* out,
-                        uint8_t* ok) const;
+                        uint8_t* ok, util::MemoWrite write) const;
 
   /// Distance reported for value pairs involving an OOV value.
   virtual double oov_distance() const = 0;

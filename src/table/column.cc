@@ -1,26 +1,31 @@
 #include "table/column.h"
 
 #include <cctype>
+#include <string_view>
 
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace autotest::table {
 
 DistinctValues Distinct(const Column& column) {
+  AT_CHECK(column.values.size() <= UINT32_MAX);
   DistinctValues out;
-  std::unordered_map<std::string, size_t> index;
+  std::unordered_map<std::string_view, uint32_t> index;
   index.reserve(column.values.size());
-  for (const auto& v : column.values) {
-    auto it = index.find(v);
-    if (it == index.end()) {
-      index.emplace(v, out.values.size());
+  out.row_index.reserve(column.values.size());
+  for (const std::string& v : column.values) {
+    const auto [it, inserted] =
+        index.try_emplace(v, static_cast<uint32_t>(out.values.size()));
+    if (inserted) {
       out.values.push_back(v);
       out.counts.push_back(1);
     } else {
       ++out.counts[it->second];
     }
-    ++out.total;
+    out.row_index.push_back(it->second);
   }
+  out.total = column.values.size();
   return out;
 }
 

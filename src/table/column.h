@@ -2,6 +2,7 @@
 #define AUTOTEST_TABLE_COLUMN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,12 +25,16 @@ struct Column {
 struct DistinctValues {
   std::vector<std::string> values;
   std::vector<size_t> counts;
+  /// row_index[r]: the index in `values` of the column's row r.
+  std::vector<uint32_t> row_index;
   size_t total = 0;
 
   size_t size() const { return values.size(); }
 };
 
-/// Computes the distinct values (first-seen order) of a column.
+/// Computes the distinct values (first-seen order) of a column. Each
+/// distinct value is copied once; the index keys on views into the
+/// column.
 DistinctValues Distinct(const Column& column);
 
 /// Summary statistics used for corpus profiling (paper Table 3).

@@ -168,8 +168,8 @@ void CtaModelZoo::ScoreAllTypes(std::span<const float> features,
 }
 
 void CtaModelZoo::ScoreRows(std::span<const std::string_view> values,
-                            float* out) const {
-  cache_.Fill(values, num_types(), out, /*ok=*/nullptr,
+                            float* out, util::MemoWrite write) const {
+  cache_.Fill(values, num_types(), out, /*ok=*/nullptr, write,
               [this](std::string_view value, float* scores) {
                 thread_local std::vector<float> features;
                 extractor_.Extract(value, &features);

@@ -59,9 +59,12 @@ class CtaModelZoo {
   /// P(values[i] belongs to type t) in [0, 1] for every type t in order.
   /// The zoo's only scoring entry point: a value's scores are computed for
   /// all types at once on first sight (feature extraction dominates the
-  /// cost and is shared across the zoo's types) and memoized per value
-  /// until the memo next clears (util::RowCache).
-  void ScoreRows(std::span<const std::string_view> values, float* out) const;
+  /// cost and is shared across the zoo's types) and, with
+  /// util::MemoWrite::kInsert, memoized per value until the memo next
+  /// clears (util::RowCache). kReadOnly reads the memo and inserts
+  /// nothing.
+  void ScoreRows(std::span<const std::string_view> values, float* out,
+                 util::MemoWrite write) const;
 
   const std::string& name() const { return config_.name; }
   const std::vector<std::string>& type_names() const {

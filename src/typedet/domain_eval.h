@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/row_cache.h"
 
 namespace autotest::typedet {
 
@@ -69,10 +70,13 @@ class DomainEvalFunction {
   virtual const void* backend() const { return nullptr; }
 
   /// Fills `rows` with the backend's rows for a block of values. Called
-  /// only on functions whose backend() is non-null.
+  /// only on functions whose backend() is non-null. `write` says whether
+  /// rows the backend computes for values its memo lacks are inserted
+  /// into that memo: the trainer and scalar Distance insert, the
+  /// predictor only reads (util::MemoWrite).
   virtual void ComputeBackendRows(
-      std::span<const std::string_view> /*values*/,
-      BackendRows* /*rows*/) const {
+      std::span<const std::string_view> /*values*/, BackendRows* /*rows*/,
+      util::MemoWrite /*write*/) const {
     AT_CHECK_MSG(false, "ComputeBackendRows on a function without backend");
   }
 

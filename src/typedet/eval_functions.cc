@@ -21,7 +21,7 @@ namespace {
 // a value.
 double DistanceViaRows(const DomainEvalFunction& f, std::string_view value) {
   thread_local BackendRows rows;
-  f.ComputeBackendRows({&value, 1}, &rows);
+  f.ComputeBackendRows({&value, 1}, &rows, util::MemoWrite::kInsert);
   double distance = 0.0;
   f.DistanceFromRows(rows, {&distance, 1});
   return distance;
@@ -43,11 +43,12 @@ class CtaEval : public DomainEvalFunction {
   const void* backend() const override { return zoo_; }
 
   void ComputeBackendRows(std::span<const std::string_view> values,
-                          BackendRows* rows) const override {
+                          BackendRows* rows,
+                          util::MemoWrite write) const override {
     rows->width = zoo_->num_types();
     rows->data.resize(values.size() * rows->width);
     rows->ok.assign(values.size(), 1);
-    zoo_->ScoreRows(values, rows->data.data());
+    zoo_->ScoreRows(values, rows->data.data(), write);
   }
 
   void DistanceFromRows(const BackendRows& rows,
@@ -87,11 +88,13 @@ class EmbeddingEval : public DomainEvalFunction {
   const void* backend() const override { return model_; }
 
   void ComputeBackendRows(std::span<const std::string_view> values,
-                          BackendRows* rows) const override {
+                          BackendRows* rows,
+                          util::MemoWrite write) const override {
     rows->width = model_->dim();
     rows->data.resize(values.size() * rows->width);
     rows->ok.resize(values.size());
-    model_->EmbedBlockCached(values, rows->data.data(), rows->ok.data());
+    model_->EmbedBlockCached(values, rows->data.data(), rows->ok.data(),
+                             write);
   }
 
   void DistanceFromRows(const BackendRows& rows,

@@ -86,6 +86,14 @@ inline constexpr std::string_view kMPredictorColumnsChecked =
     "predictor.columns_checked";
 inline constexpr std::string_view kMPredictorDetections =
     "predictor.detections";
+inline constexpr std::string_view kMPredictorMemoHits =
+    "predictor.memo_hits";
+inline constexpr std::string_view kMPredictorMemoMisses =
+    "predictor.memo_misses";
+inline constexpr std::string_view kMPredictorMemoBytes =
+    "predictor.memo_bytes";
+inline constexpr std::string_view kMPredictorMemoClears =
+    "predictor.memo_clears";
 inline constexpr std::string_view kMTrainerEvalsSkipped =
     "trainer.evals_skipped";
 inline constexpr std::string_view kMTrainerCandidatesEnumerated =
@@ -168,6 +176,10 @@ inline constexpr std::string_view kAllMetrics[] = {
     kMPredictorRulesSkipped,
     kMPredictorColumnsChecked,
     kMPredictorDetections,
+    kMPredictorMemoHits,
+    kMPredictorMemoMisses,
+    kMPredictorMemoBytes,
+    kMPredictorMemoClears,
     kMTrainerEvalsSkipped,
     kMTrainerCandidatesEnumerated,
     kMTrainerCandidatesPruned,

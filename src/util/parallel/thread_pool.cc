@@ -1,5 +1,7 @@
 #include "util/parallel/thread_pool.h"
 
+#include <pthread.h>
+
 #ifdef __linux__
 #include <sched.h>
 #endif
@@ -36,6 +38,12 @@ uint32_t RangeHi(uint64_t bits) { return static_cast<uint32_t>(bits >> 32); }
 // True while the current thread is executing inside a parallel region
 // (as submitter or worker); nested regions then run inline.
 thread_local bool tl_in_region = false;
+
+// True on the thread that took the pool's locks before a fork, until the
+// handler after the fork releases them. A thread inside a region forks
+// without them: as a submitter it already holds run_mu_, and as a worker
+// it would wait on a region that waits on it.
+thread_local bool tl_fork_locked = false;
 
 size_t HeuristicGrain(size_t n, size_t participants) {
   size_t grain = n / (participants * kChunksPerParticipant);
@@ -143,7 +151,55 @@ ThreadPool& ThreadPool::Global() {
   return pool;
 }
 
+ThreadPool::ThreadPool() {
+  // The pool is the process-wide Global(), built once, so the handlers are
+  // registered once.
+  AT_CHECK(pthread_atfork(&ThreadPool::PrepareFork,
+                          &ThreadPool::AfterForkInParent,
+                          &ThreadPool::AfterForkInChild) == 0);
+}
+
+// The fork handlers take the locks in one function and release them in
+// another, and the child touches workers_ with no lock held, being one
+// thread: the analysis can follow neither, hence
+// AT_NO_THREAD_SAFETY_ANALYSIS on all three.
+void ThreadPool::PrepareFork() AT_NO_THREAD_SAFETY_ANALYSIS {
+  if (tl_in_region) return;
+  ThreadPool& pool = Global();
+  pool.run_mu_.Lock();
+  pool.mu_.Lock();
+  tl_fork_locked = true;
+}
+
+void ThreadPool::AfterForkInParent() AT_NO_THREAD_SAFETY_ANALYSIS {
+  if (!tl_fork_locked) return;
+  ThreadPool& pool = Global();
+  pool.mu_.Unlock();
+  pool.run_mu_.Unlock();
+  tl_fork_locked = false;
+}
+
+void ThreadPool::AfterForkInChild() AT_NO_THREAD_SAFETY_ANALYSIS {
+  ThreadPool& pool = Global();
+  if (tl_fork_locked) {
+    pool.mu_.Unlock();
+    pool.run_mu_.Unlock();
+    tl_fork_locked = false;
+  }
+  pool.forked_.store(true, std::memory_order_relaxed);
+  // The parent's workers do not exist here. Their handles move to a holder
+  // that is never destroyed, so no one joins them, and ~thread, which
+  // would terminate on a joinable handle, never runs. The child is one
+  // thread, so no lock is needed.
+  static std::vector<std::thread>* forgotten = new std::vector<std::thread>;
+  for (std::thread& worker : pool.workers_) {
+    forgotten->push_back(std::move(worker));
+  }
+  pool.workers_.clear();
+}
+
 ThreadPool::~ThreadPool() {
+  if (forked_.load(std::memory_order_relaxed)) return;
   std::vector<std::thread> workers;
   {
     MutexLock lk(&mu_);
@@ -155,6 +211,7 @@ ThreadPool::~ThreadPool() {
 }
 
 size_t ThreadPool::num_workers() const {
+  if (forked_.load(std::memory_order_relaxed)) return 0;
   MutexLock lk(&mu_);
   return workers_.size();
 }
@@ -188,7 +245,8 @@ void ThreadPool::RunChunked(size_t n, size_t grain, size_t num_threads,
   st.items.Increment(n);
   st.chunks.Increment(num_chunks);
 
-  if (tl_in_region || slots <= 1) {
+  if (tl_in_region || slots <= 1 ||
+      forked_.load(std::memory_order_relaxed)) {
     st.serial_invocations.Increment();
     RunSerial(n, grain, body);
     return;

@@ -40,6 +40,12 @@ using ChunkFn = std::function<void(size_t, size_t)>;
 /// after the region ends, so results are independent of the schedule and of
 /// the thread count. Nested parallel regions execute inline (serially) on
 /// the calling worker.
+///
+/// Fork: the pool takes its locks before a fork and releases them after it
+/// in both processes (pthread_atfork), so a fork never copies a lock a
+/// worker holds. The child has none of the parent's workers: it forgets
+/// them, never joining them, and runs its regions serially on the calling
+/// thread, which is what a gtest "fast" death test's child needs.
 class ThreadPool {
  public:
   /// The process-wide pool. First call constructs it; workers are spawned
@@ -58,13 +64,18 @@ class ThreadPool {
   void RunChunked(size_t n, size_t grain, size_t num_threads,
                   const ChunkFn& body);
 
-  /// Worker threads currently alive (excludes callers).
+  /// Worker threads currently alive (excludes callers); 0 in a forked
+  /// child.
   size_t num_workers() const;
 
  private:
   struct JobState;
 
-  ThreadPool() = default;
+  ThreadPool();
+  // pthread_atfork handlers of the global pool.
+  static void PrepareFork();
+  static void AfterForkInParent();
+  static void AfterForkInChild();
   void EnsureWorkers(size_t want);
   void WorkerLoop();
   static void WorkOn(JobState& job, size_t slot);
@@ -80,6 +91,8 @@ class ThreadPool {
   uint64_t epoch_ AT_GUARDED_BY(mu_) = 0;
   bool stop_ AT_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_ AT_GUARDED_BY(mu_);
+  // Set in a forked child: no workers, every region serial.
+  std::atomic<bool> forked_{false};
 };
 
 /// Default participant count: the number of CPUs in the calling thread's

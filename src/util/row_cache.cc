@@ -7,27 +7,47 @@ namespace autotest::util {
 
 namespace {
 
-// The memos' bound metrics, registered by the first memo built so that a
-// metrics dump reports them even when no memo ever grew or cleared.
-struct BoundMetrics {
-  metrics::Gauge& bytes =
-      metrics::Registry::Global().GetGauge(metrics::kMRowCacheBytes);
-  metrics::Counter& clears =
-      metrics::Registry::Global().GetCounter(metrics::kMRowCacheClears);
-};
-
-BoundMetrics& Bound() {
-  static BoundMetrics& m = *new BoundMetrics();
-  return m;
-}
+// Bytes per row word: a float of a model row or a predictor's bit word.
+constexpr size_t kWordBytes = 4;
 
 }  // namespace
 
-RowCache::RowCache() { Bound(); }
+RowCache::RowCache()
+    : RowCache(metrics::Registry::Global().GetGauge(metrics::kMRowCacheBytes),
+               metrics::Registry::Global().GetCounter(
+                   metrics::kMRowCacheClears)) {}
+
+RowCache::RowCache(metrics::Gauge& bytes, metrics::Counter& clears)
+    : bytes_gauge_(bytes), clears_counter_(clears) {}
 
 RowCache::~RowCache() {
   MutexLock lock(&mu_);
-  Bound().bytes.Add(-static_cast<double>(bytes_));
+  bytes_gauge_.Add(-static_cast<double>(bytes_));
+}
+
+void RowCache::LookupWords(std::span<const std::string_view> values,
+                           size_t width, void* out, uint8_t* ok,
+                           std::vector<size_t>* misses) {
+  char* rows = static_cast<char*>(out);
+  MutexLock lock(&mu_);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!Read(values[i], width, rows + i * width * kWordBytes,
+              ok == nullptr ? nullptr : ok + i)) {
+      misses->push_back(i);
+    }
+  }
+}
+
+void RowCache::InsertWords(std::span<const std::string_view> values,
+                           std::span<const size_t> which, size_t width,
+                           const void* rows, const uint8_t* ok) {
+  const char* bytes = static_cast<const char*>(rows);
+  MutexLock lock(&mu_);
+  for (size_t i : which) {
+    const bool has_row = ok == nullptr || ok[i] != 0;
+    InsertOne(values[i], width,
+              has_row ? bytes + i * width * kWordBytes : nullptr);
+  }
 }
 
 uint32_t RowCache::Hash(std::string_view value) {
@@ -42,14 +62,14 @@ size_t RowCache::Probe(std::string_view value, uint32_t hash) const {
     if (slot.pos == kEmptySlot) return i;
     if (slot.hash != hash || slot.key_len != value.size()) continue;
     const char* key =
-        Record(slot.pos) + (slot.has_row != 0 ? width_ * sizeof(float) : 0);
+        Record(slot.pos) + (slot.has_row != 0 ? width_ * kWordBytes : 0);
     if (value.empty() || std::memcmp(key, value.data(), value.size()) == 0) {
       return i;
     }
   }
 }
 
-bool RowCache::Read(std::string_view value, size_t width, float* row,
+bool RowCache::Read(std::string_view value, size_t width, char* row,
                     uint8_t* ok) const {
   if (count_ == 0) return false;
   const Slot& slot = slots_[Probe(value, Hash(value))];
@@ -57,20 +77,20 @@ bool RowCache::Read(std::string_view value, size_t width, float* row,
   if (slot.has_row == 0) {
     AT_CHECK(ok != nullptr);
     *ok = 0;
-    std::fill(row, row + width, 0.0f);
+    std::memset(row, 0, width * kWordBytes);
     return true;
   }
   AT_CHECK(width == width_);
-  std::memcpy(row, Record(slot.pos), width * sizeof(float));
+  std::memcpy(row, Record(slot.pos), width * kWordBytes);
   if (ok != nullptr) *ok = 1;
   return true;
 }
 
-void RowCache::Insert(std::string_view value, size_t width,
-                      const float* row) {
+void RowCache::InsertOne(std::string_view value, size_t width,
+                         const char* row) {
   if (width_ == 0) width_ = width;
   AT_CHECK(width == width_);
-  const size_t row_bytes = row != nullptr ? width * sizeof(float) : 0;
+  const size_t row_bytes = row != nullptr ? width * kWordBytes : 0;
   const size_t record = row_bytes + value.size();
   if (record > kChunkBytes) return;
   const uint32_t hash = Hash(value);
@@ -97,7 +117,7 @@ void RowCache::Insert(std::string_view value, size_t width,
         (new_chunk ? kChunkBytes : 0) + new_slots * sizeof(Slot);
     if (bytes_ + grow <= kMaxBytes) {
       bytes_ += grow;
-      Bound().bytes.Add(static_cast<double>(grow));
+      bytes_gauge_.Add(static_cast<double>(grow));
       break;
     }
     if (count_ == 0) return;  // even an empty memo has no room for it
@@ -135,7 +155,7 @@ void RowCache::Clear() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
   count_ = 0;
   used_ = 0;
-  Bound().clears.Increment();
+  clears_counter_.Increment();
 }
 
 }  // namespace autotest::util

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "core/auto_test.h"
 #include "core/predictor.h"
@@ -18,6 +19,9 @@
 #include "kernel_oracles.h"
 #include "table/column_store.h"
 #include "typedet/eval_functions.h"
+#include "util/budget.h"
+#include "util/metrics.h"
+#include "util/row_cache.h"
 
 namespace autotest::core {
 namespace {
@@ -518,7 +522,8 @@ class CountingEval : public typedet::DomainEvalFunction {
     return shared_ ? backend_ : nullptr;
   }
   void ComputeBackendRows(std::span<const std::string_view> values,
-                          typedet::BackendRows* rows) const override {
+                          typedet::BackendRows* rows,
+                          util::MemoWrite /*write*/) const override {
     backend_->row_calls.fetch_add(1, std::memory_order_relaxed);
     rows->width = CountingBackend::kWidth;
     rows->data.resize(values.size() * rows->width);
@@ -545,9 +550,11 @@ class CountingEval : public typedet::DomainEvalFunction {
 
 // The explicit row pass (DESIGN.md §4k) computes each backend's rows once
 // per block: ceil(pool / 256) calls per backend in training at any thread
-// count, and one call per backend per non-empty column in prediction. The
-// rules trained that way serialize byte-identically to rules trained from
-// the same functions without a backend.
+// count. Prediction computes rows only for values its plan's memo lacks:
+// one call per backend per column with at least one such value, and none
+// on a second pass over the same columns. The rules trained that way
+// serialize byte-identically to rules trained from the same functions
+// without a backend.
 TEST(BackendRowsTest, EachBackendComputesEachBlockExactlyOnce) {
   auto corpus =
       datagen::GenerateCorpus(datagen::RelationalTablesProfile(150, 5));
@@ -600,16 +607,24 @@ TEST(BackendRowsTest, EachBackendComputesEachBlockExactlyOnce) {
   }
   SdcPredictor predictor(model.constraints);
   for (CountingBackend& b : backends) b.row_calls = 0;
-  size_t non_empty = 0;
+  std::set<std::string> seen;
+  size_t with_new_values = 0;
   for (size_t c = 0; c < 30; ++c) {
     predictor.Predict(corpus[c]);
-    if (!corpus[c].values.empty()) ++non_empty;
+    bool any_new = false;
+    for (const std::string& v : corpus[c].values) {
+      any_new = seen.insert(v).second || any_new;
+    }
+    if (any_new) ++with_new_values;
   }
   predictor.Predict(table::Column{});
-  ASSERT_GT(non_empty, 0u);
+  ASSERT_GT(with_new_values, 0u);
   for (CountingBackend& b : backends) {
-    EXPECT_EQ(b.row_calls.load(), non_empty);
+    EXPECT_EQ(b.row_calls.load(), with_new_values);
   }
+  for (CountingBackend& b : backends) b.row_calls = 0;
+  for (size_t c = 0; c < 30; ++c) predictor.Predict(corpus[c]);
+  for (CountingBackend& b : backends) EXPECT_EQ(b.row_calls.load(), 0u);
 }
 
 TEST(PredictorTest, EmptyColumnAndEmptyRules) {
@@ -619,6 +634,481 @@ TEST(PredictorTest, EmptyColumnAndEmptyRules) {
   EXPECT_TRUE(empty.Predict(c).empty());
   table::Column none;
   EXPECT_TRUE(empty.Predict(none).empty());
+}
+
+// ---------------------------------------------------------------------------
+// The compiled plan against the loop it replaced (oracle::PredictByGroups).
+// ---------------------------------------------------------------------------
+
+uint64_t CounterValue(std::string_view name) {
+  return metrics::Registry::Global().GetCounter(name).value();
+}
+
+// Every field the predictor reports, detection by detection.
+void ExpectSamePrediction(const BudgetedPrediction& got,
+                          const BudgetedPrediction& want) {
+  EXPECT_EQ(got.expired, want.expired);
+  EXPECT_EQ(got.groups_evaluated, want.groups_evaluated);
+  EXPECT_EQ(got.groups_total, want.groups_total);
+  ASSERT_EQ(got.detections.size(), want.detections.size());
+  for (size_t i = 0; i < got.detections.size(); ++i) {
+    const CellDetection& g = got.detections[i];
+    const CellDetection& w = want.detections[i];
+    EXPECT_EQ(g.row, w.row) << i;
+    EXPECT_EQ(g.value, w.value) << i;
+    EXPECT_EQ(g.confidence, w.confidence) << i;
+    EXPECT_EQ(g.rule_index, w.rule_index) << i;
+    EXPECT_EQ(g.explanation, w.explanation) << i;
+  }
+}
+
+bool SamePrediction(const BudgetedPrediction& got,
+                    const BudgetedPrediction& want) {
+  if (got.expired != want.expired ||
+      got.groups_evaluated != want.groups_evaluated ||
+      got.groups_total != want.groups_total ||
+      got.detections.size() != want.detections.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < got.detections.size(); ++i) {
+    const CellDetection& g = got.detections[i];
+    const CellDetection& w = want.detections[i];
+    if (g.row != w.row || g.value != w.value ||
+        g.confidence != w.confidence || g.rule_index != w.rule_index ||
+        g.explanation != w.explanation) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Predict and an unbudgeted TryPredict both equal the oracle's loop.
+void ExpectMatchesOracle(const SdcPredictor& predictor,
+                         const table::Column& column) {
+  SCOPED_TRACE("column '" + column.name + "'");
+  const BudgetedPrediction want =
+      oracle::PredictByGroups(predictor.rules(), column, nullptr, nullptr);
+  BudgetedPrediction got;
+  got.detections = predictor.Predict(column);
+  got.groups_total = want.groups_total;
+  got.groups_evaluated = want.groups_evaluated;
+  ExpectSamePrediction(got, want);
+  auto tried = predictor.TryPredict(column, PredictBudget{});
+  ASSERT_TRUE(tried.ok()) << tried.status().ToString();
+  ExpectSamePrediction(*tried, want);
+}
+
+// A clock whose reading is the number of earlier readings: a deadline of
+// k lets exactly k rule groups through their gate.
+class CountingClock final : public util::Clock {
+ public:
+  int64_t NowMicros() override {
+    return now_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void SleepMicros(int64_t /*micros*/) override {}
+
+ private:
+  std::atomic<int64_t> now_{0};
+};
+
+// Columns for the fixture's plan: corpus columns, columns with planted
+// errors, and columns of values no model has seen.
+std::vector<table::Column> PlanColumns(const table::Corpus& corpus) {
+  std::vector<table::Column> columns(corpus.begin(),
+                                     corpus.begin() + std::min<size_t>(
+                                                          corpus.size(), 60));
+  table::Column dates;
+  dates.name = "date";
+  for (int i = 1; i <= 25; ++i) {
+    dates.values.push_back("3/" + std::to_string(i) + "/2021");
+  }
+  dates.values.push_back("new facility");
+  columns.push_back(dates);
+  table::Column states;
+  states.name = "state";
+  for (const char* v : {"fl", "az", "ca", "ok", "al", "ga", "tx", "ny", "wa",
+                        "or", "il", "mi", "oh", "pa", "nc", "fl", "az"}) {
+    states.values.push_back(v);
+  }
+  states.values.push_back("germany");
+  columns.push_back(states);
+  for (size_t c = 0; c < 6; ++c) {
+    table::Column salted = corpus[c];
+    salted.name += "~salted";
+    for (std::string& v : salted.values) v += "~plan" + std::to_string(c);
+    columns.push_back(std::move(salted));
+  }
+  return columns;
+}
+
+// The fixture's model must reach the plan's embedding runs: two or more
+// groups on one embedding model.
+TEST_F(TrainedFixture, PlanReadsSeveralFunctionsOfOneEmbeddingModel) {
+  std::map<const void*, std::set<const typedet::DomainEvalFunction*>> evals;
+  for (const Sdc& rule : at_->model().constraints) {
+    if (rule.eval->family() == typedet::Family::kEmbedding) {
+      evals[rule.eval->backend()].insert(rule.eval);
+    }
+  }
+  size_t most = 0;
+  for (const auto& [backend, set] : evals) most = std::max(most, set.size());
+  EXPECT_GE(most, 2u);
+}
+
+TEST_F(TrainedFixture, PlanMatchesOracleColdThenWarm) {
+  const SdcPredictor predictor(at_->model().constraints);
+  const std::vector<table::Column> columns = PlanColumns(*corpus_);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "cold" : "warm");
+    const uint64_t misses0 = CounterValue(metrics::kMPredictorMemoMisses);
+    for (const table::Column& column : columns) {
+      ExpectMatchesOracle(predictor, column);
+    }
+    if (pass == 1) {
+      EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses), misses0);
+    }
+  }
+}
+
+TEST_F(TrainedFixture, PlanMatchesOracleAtEveryDeadline) {
+  const table::Column column = PlanColumns(*corpus_)[60];  // dates
+  const size_t n = table::Distinct(column).size();
+  const SdcPredictor warm(at_->model().constraints);
+  warm.Predict(column);
+  const size_t groups =
+      oracle::PredictByGroups(warm.rules(), column, nullptr, nullptr)
+          .groups_total;
+  ASSERT_GT(groups, 2u);
+  for (size_t k = 0; k <= groups + 1; ++k) {
+    SCOPED_TRACE("deadline after " + std::to_string(k) + " groups");
+    CountingClock oracle_clock;
+    const PredictBudget oracle_budget{
+        .clock = &oracle_clock, .deadline_micros = static_cast<int64_t>(k)};
+    const BudgetedPrediction want = oracle::PredictByGroups(
+        warm.rules(), column, &oracle_budget, nullptr);
+    EXPECT_EQ(want.expired, k < groups);
+
+    CountingClock warm_clock;
+    auto got = warm.TryPredict(
+        column, PredictBudget{.clock = &warm_clock,
+                              .deadline_micros = static_cast<int64_t>(k)});
+    ASSERT_TRUE(got.ok());
+    ExpectSamePrediction(*got, want);
+
+    // Cold, a column cut short inserts nothing: the next full pass misses
+    // every value again.
+    const SdcPredictor cold(at_->model().constraints);
+    CountingClock cold_clock;
+    got = cold.TryPredict(
+        column, PredictBudget{.clock = &cold_clock,
+                              .deadline_micros = static_cast<int64_t>(k)});
+    ASSERT_TRUE(got.ok());
+    ExpectSamePrediction(*got, want);
+    const uint64_t misses0 = CounterValue(metrics::kMPredictorMemoMisses);
+    ExpectMatchesOracle(cold, column);
+    EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses) - misses0,
+              k < groups ? n : 0);
+  }
+}
+
+TEST_F(TrainedFixture, PlanMatchesOracleAtEveryRejectedCharge) {
+  const table::Column column = PlanColumns(*corpus_)[61];  // states
+  const uint64_t n = table::Distinct(column).size();
+  ASSERT_GE(n, 2u);
+  const SdcPredictor warm(at_->model().constraints);
+  warm.Predict(column);
+  const size_t groups =
+      oracle::PredictByGroups(warm.rules(), column, nullptr, nullptr)
+          .groups_total;
+  // Charge k + 1 is the first one over max_cells = k * n + n - 1.
+  auto limits = [&](size_t k) {
+    return util::ResourceLimits{.max_cells = k * n + n - 1};
+  };
+  for (size_t k = 0; k <= groups; ++k) {
+    SCOPED_TRACE("charge " + std::to_string(k + 1) + " rejected");
+    util::ResourceBudget oracle_budget(limits(k));
+    const auto want = oracle::TryPredictByGroups(
+        warm.rules(), column, PredictBudget{.resources = &oracle_budget});
+    EXPECT_EQ(want.ok(), k == groups);
+    for (bool cold : {false, true}) {
+      SCOPED_TRACE(cold ? "cold" : "warm");
+      const SdcPredictor fresh(at_->model().constraints);
+      const SdcPredictor& predictor = cold ? fresh : warm;
+      util::ResourceBudget budget(limits(k));
+      const auto got =
+          predictor.TryPredict(column, PredictBudget{.resources = &budget});
+      EXPECT_EQ(budget.charges(), oracle_budget.charges());
+      EXPECT_EQ(budget.used(util::ResourceKind::kCells),
+                oracle_budget.used(util::ResourceKind::kCells));
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!want.ok()) {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      } else {
+        ExpectSamePrediction(*got, *want);
+      }
+      if (cold) {
+        const uint64_t misses0 =
+            CounterValue(metrics::kMPredictorMemoMisses);
+        ExpectMatchesOracle(fresh, column);
+        EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses) - misses0,
+                  k < groups ? n : 0);
+      }
+    }
+  }
+}
+
+TEST_F(TrainedFixture, FourThreadsShareOnePredictor) {
+  const SdcPredictor predictor(at_->model().constraints);
+  const std::vector<table::Column> columns = PlanColumns(*corpus_);
+  std::vector<BudgetedPrediction> want;
+  for (const table::Column& column : columns) {
+    want.push_back(oracle::PredictByGroups(predictor.rules(), column,
+                                           nullptr, nullptr));
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t pass = 0; pass < 2; ++pass) {
+        for (size_t k = 0; k < columns.size(); ++k) {
+          const size_t c = (k + t * columns.size() / kThreads) %
+                           columns.size();
+          auto got = predictor.TryPredict(columns[c], PredictBudget{});
+          if (!got.ok() || !SamePrediction(*got, want[c])) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << t;
+}
+
+// Serving reads the shared models' memos and writes none of them.
+TEST_F(TrainedFixture, PredictingFreshValuesLeavesModelMemosAlone) {
+  const metrics::Gauge& bytes =
+      metrics::Registry::Global().GetGauge(metrics::kMRowCacheBytes);
+  const SdcPredictor predictor(at_->model().constraints);
+  std::vector<table::Column> columns;
+  for (size_t c = 0; c < 20; ++c) {
+    table::Column salted = (*corpus_)[c];
+    for (std::string& v : salted.values) v += "~fresh" + std::to_string(c);
+    columns.push_back(std::move(salted));
+  }
+  const double bytes0 = bytes.value();
+  const uint64_t row_misses0 = CounterValue(metrics::kMRowCacheMisses);
+  for (const table::Column& column : columns) predictor.Predict(column);
+  EXPECT_GT(CounterValue(metrics::kMRowCacheMisses), row_misses0);
+  EXPECT_EQ(bytes.value(), bytes0);
+  // The values are in the plan's memo instead.
+  const uint64_t hits0 = CounterValue(metrics::kMPredictorMemoHits);
+  for (const table::Column& column : columns) predictor.Predict(column);
+  size_t distinct = 0;
+  for (const table::Column& column : columns) {
+    distinct += table::Distinct(column).size();
+  }
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoHits) - hits0, distinct);
+}
+
+TEST_F(TrainedFixture, RepeatPassAddsDistinctCountToMemoHits) {
+  const SdcPredictor predictor(at_->model().constraints);
+  const table::Column& column = (*corpus_)[3];
+  const uint64_t n = table::Distinct(column).size();
+  const uint64_t misses0 = CounterValue(metrics::kMPredictorMemoMisses);
+  predictor.Predict(column);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses) - misses0, n);
+  const uint64_t hits0 = CounterValue(metrics::kMPredictorMemoHits);
+  const uint64_t misses1 = CounterValue(metrics::kMPredictorMemoMisses);
+  predictor.Predict(column);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoHits) - hits0, n);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses), misses1);
+}
+
+// A test function whose distance is NaN for some values: length / 8 (so
+// lengths 2 and 4 land exactly on the d_ins 0.25 and 0.5), NaN for a value
+// containing '?'; or the share of digits, NaN for a value containing '#'.
+// With `shared` it computes both through one backend's rows.
+class NanEval : public typedet::DomainEvalFunction {
+ public:
+  static constexpr size_t kWidth = 2;
+
+  NanEval(std::string id, const int* backend, size_t column, bool shared,
+          typedet::Family family = typedet::Family::kFunction)
+      : DomainEvalFunction(std::move(id), family),
+        backend_(shared ? backend : nullptr),
+        column_(column) {}
+
+  static void Row(std::string_view value, float* row) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    size_t digits = 0;
+    for (unsigned char ch : value) digits += std::isdigit(ch) ? 1 : 0;
+    row[0] = value.find('?') != std::string_view::npos
+                 ? nan
+                 : std::min(1.0f, static_cast<float>(value.size()) / 8.0f);
+    row[1] = value.find('#') != std::string_view::npos ? nan
+             : value.empty()                           ? 0.0f
+                                                       : static_cast<float>(
+                                                             digits) /
+                                   static_cast<float>(value.size());
+  }
+
+  double Distance(std::string_view value) const override {
+    float row[kWidth];
+    Row(value, row);
+    return static_cast<double>(row[column_]);
+  }
+  const void* backend() const override { return backend_; }
+  void ComputeBackendRows(std::span<const std::string_view> values,
+                          typedet::BackendRows* rows,
+                          util::MemoWrite /*write*/) const override {
+    rows->width = kWidth;
+    rows->data.resize(values.size() * kWidth);
+    rows->ok.assign(values.size(), 1);
+    for (size_t i = 0; i < values.size(); ++i) {
+      Row(values[i], rows->data.data() + i * kWidth);
+    }
+  }
+  void DistanceFromRows(const typedet::BackendRows& rows,
+                        std::span<double> out) const override {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i] = static_cast<double>(rows.row(i)[column_]);
+    }
+  }
+  double min_distance() const override { return 0.0; }
+  double max_distance() const override { return 1.0; }
+  std::string Describe() const override { return id(); }
+
+ private:
+  const void* backend_;
+  size_t column_;
+};
+
+Sdc MakeRule(const typedet::DomainEvalFunction* eval, double d_in,
+             double d_out, double m, double confidence) {
+  Sdc rule;
+  rule.eval = eval;
+  rule.d_in = d_in;
+  rule.d_out = d_out;
+  rule.m = m;
+  rule.confidence = confidence;
+  return rule;
+}
+
+table::Column MakeColumn(std::string name, std::vector<std::string> values) {
+  table::Column column;
+  column.name = std::move(name);
+  column.values = std::move(values);
+  return column;
+}
+
+// Rules sharing (d_in, m) pairs, d_ins and confidences on functions with
+// NaN distances, a shared backend and none, against the oracle, cold and
+// warm. The backend also serves an embedding-family function after
+// functions of another family, whose group must score it itself.
+TEST(PlanTest, NanDistancesAndSharedPreconditionsMatchOracle) {
+  const int backend = 0;
+  const NanEval length("test:nan:length", &backend, 0, /*shared=*/true);
+  const NanEval digits("test:nan:digits", &backend, 1, /*shared=*/true);
+  const NanEval plain("test:nan:plain", &backend, 0, /*shared=*/false);
+  const NanEval embedded("test:nan:embedded", &backend, 1, /*shared=*/true,
+                         typedet::Family::kEmbedding);
+  const std::vector<Sdc> rules = {
+      MakeRule(&length, 0.25, 0.5, 0.6, 0.9),
+      MakeRule(&length, 0.25, 0.75, 0.6, 0.95),  // same (d_in, m)
+      MakeRule(&length, 0.25, 0.5, 0.8, 0.9),    // same d_in, other m
+      MakeRule(&digits, 0.0, 0.25, 0.5, 0.85),
+      MakeRule(&plain, 0.25, 0.5, 0.6, 0.9),     // ties a length rule
+      MakeRule(&length, 0.5, 0.5, 0.9, 0.99),    // d_in == d_out
+      MakeRule(&digits, 0.0, 0.25, 0.5, 0.85),   // a duplicate
+      MakeRule(&plain, 0.375, 0.875, 0.4, 0.7),
+      MakeRule(&embedded, 0.0, 0.5, 0.3, 0.8),
+  };
+  const SdcPredictor predictor(rules);
+  ASSERT_EQ(predictor.num_rules(), rules.size());
+  const std::string huge((size_t{1} << 20) + 10, 'x');
+  const std::vector<table::Column> columns = {
+      MakeColumn("short", {"ab", "cd", "ab", "abcd", "abcdefghij", "ef"}),
+      MakeColumn("nan", {"a?", "ab", "ab", "a?", "cd", "1#", "12345678"}),
+      MakeColumn("all-nan", {"?", "a?", "?", "#?"}),
+      MakeColumn("digits", {"12", "34", "56", "ab", "7#", "12", "9"}),
+      MakeColumn("repeated", std::vector<std::string>(9, "ab")),
+      MakeColumn("repeated-nan", std::vector<std::string>(5, "x?")),
+      MakeColumn("empty-strings", {"", "", "ab"}),
+      MakeColumn("empty", {}),
+      MakeColumn("huge", {"ab", huge, "cd", "ab"}),
+      MakeColumn("at-d-in", {"abcd", "abcd", "abcd", "abcd", "abcd", "abcd",
+                             "abcd", "abcd", "abcd", "abcdefghijk"}),
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "cold" : "warm");
+    for (const table::Column& column : columns) {
+      ExpectMatchesOracle(predictor, column);
+    }
+  }
+  // The rules flag what lies beyond d_out, and a NaN distance is neither
+  // within d_in nor beyond d_out.
+  bool flagged_long = false;
+  for (const CellDetection& d : predictor.Predict(columns[0])) {
+    EXPECT_NE(d.value, "ab");
+    if (d.value == "abcdefghij") flagged_long = true;
+  }
+  EXPECT_TRUE(flagged_long);
+  for (const CellDetection& d : predictor.Predict(columns[1])) {
+    EXPECT_NE(d.value, "a?");
+  }
+  // A distance equal to d_in is within it: nine of ten values sit at
+  // exactly 0.5, so the m = 0.9 rule holds.
+  const std::vector<CellDetection> at_d_in =
+      predictor.Predict(columns.back());
+  ASSERT_EQ(at_d_in.size(), 1u);
+  EXPECT_EQ(at_d_in[0].confidence, 0.99);
+}
+
+// An empty column is checked without work; a column of one repeated value
+// is one distinct value, scored once and memoized once.
+TEST(PlanTest, EmptyAndRepeatedColumns) {
+  const int backend = 0;
+  const NanEval length("test:nan:length", &backend, 0, /*shared=*/true);
+  const SdcPredictor predictor({MakeRule(&length, 0.25, 0.5, 0.5, 0.9)});
+  const uint64_t hits0 = CounterValue(metrics::kMPredictorMemoHits);
+  const uint64_t misses0 = CounterValue(metrics::kMPredictorMemoMisses);
+  util::ResourceBudget budget;
+  auto empty = predictor.TryPredict(MakeColumn("empty", {}),
+                                    PredictBudget{.resources = &budget});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->detections.empty());
+  EXPECT_EQ(empty->groups_evaluated, 0u);
+  EXPECT_EQ(empty->groups_total, 1u);
+  EXPECT_EQ(budget.charges(), 0u);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses), misses0);
+
+  const table::Column repeated =
+      MakeColumn("repeated", std::vector<std::string>(7, "abcdefg"));
+  for (int pass = 0; pass < 2; ++pass) {
+    ExpectMatchesOracle(predictor, repeated);
+  }
+  // ExpectMatchesOracle predicts twice per pass: one miss, then hits.
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses) - misses0, 1u);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoHits) - hits0, 3u);
+}
+
+// A value whose record would outgrow one memo chunk (over 1 MiB) is scored
+// on every pass and never memoized.
+TEST(PlanTest, ValueOverOneMebibyteIsNeverMemoized) {
+  const int backend = 0;
+  const NanEval length("test:nan:length", &backend, 0, /*shared=*/true);
+  const SdcPredictor predictor({MakeRule(&length, 0.25, 0.5, 0.5, 0.9)});
+  const table::Column column = MakeColumn(
+      "huge", {"ab", std::string((size_t{1} << 20) + 1, 'y'), "cd", "ab"});
+  const uint64_t misses0 = CounterValue(metrics::kMPredictorMemoMisses);
+  ExpectMatchesOracle(predictor, column);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses) - misses0, 3u + 1u);
+  const uint64_t misses1 = CounterValue(metrics::kMPredictorMemoMisses);
+  ExpectMatchesOracle(predictor, column);
+  EXPECT_EQ(CounterValue(metrics::kMPredictorMemoMisses) - misses1, 2u);
+  const std::vector<CellDetection> detections = predictor.Predict(column);
+  ASSERT_EQ(detections.size(), 1u);
+  EXPECT_EQ(detections[0].row, 1u);
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 namespace autotest::embed {
 namespace {
 
+constexpr util::MemoWrite kInsert = util::MemoWrite::kInsert;
+
 TEST(VectorMathTest, EuclideanDistance) {
   const float rows[] = {0, 0, 1, 1};
   const float centroid[] = {3, 4};
@@ -159,7 +161,7 @@ TEST(EmbeddingTest, BlockCachedMatchesPerValueEmbed) {
     const size_t d = model->dim();
     std::vector<float> rows(views.size() * d);
     std::vector<uint8_t> ok(views.size());
-    model->EmbedBlockCached(views, rows.data(), ok.data());
+    model->EmbedBlockCached(views, rows.data(), ok.data(), kInsert);
     for (size_t i = 0; i < values.size(); ++i) {
       Vector v;
       bool embeddable = model->Embed(values[i], &v);
@@ -247,7 +249,7 @@ size_t WideCapacity() {
   for (size_t n = 0;; ++n) {
     const std::string value = WideValue(n, /*oov=*/false);
     const std::string_view view = value;
-    model.EmbedBlockCached({&view, 1}, row.data(), &ok);
+    model.EmbedBlockCached({&view, 1}, row.data(), &ok, kInsert);
     if (clears.value() != clears0) return n;
   }
 }
@@ -314,7 +316,7 @@ TEST(EmbeddingTest, ConcurrentFillsMatchSingleThreadRows) {
             }
             rows.assign(block.size() * d, -1.0f);
             ok.assign(block.size(), 2);
-            model->EmbedBlockCached(block, rows.data(), ok.data());
+            model->EmbedBlockCached(block, rows.data(), ok.data(), kInsert);
             mismatches[t] +=
                 CountMismatches(*reference, values, index, rows, ok);
           }
@@ -357,7 +359,7 @@ TEST(EmbeddingTest, MemoStaysWithinItsByteBound) {
     uint8_t ok = 0;
     for (size_t i = 0; i < values.size(); ++i) {
       const std::string_view view = values[i];
-      model.EmbedBlockCached({&view, 1}, row.data(), &ok);
+      model.EmbedBlockCached({&view, 1}, row.data(), &ok, kInsert);
       ASSERT_EQ(clears.value() - clears0, i / capacity) << "value " << i;
       ASSERT_LE(bytes.value() - bytes0,
                 static_cast<double>(util::RowCache::kMaxBytes));
@@ -379,13 +381,14 @@ TEST(EmbeddingTest, MemoStaysWithinItsByteBound) {
     std::vector<float> rows(n * d);
     std::vector<uint8_t> oks(n);
     const uint64_t hits0 = hits.value();
-    model.EmbedBlockCached(views, rows.data(), oks.data());
+    model.EmbedBlockCached(views, rows.data(), oks.data(), kInsert);
     EXPECT_EQ(hits.value() - hits0, 10u);
     const WideModel cold;
     EXPECT_EQ(CountMismatches(cold, values, index, rows, oks), 0u);
     std::vector<float> cold_rows(n * d);
     std::vector<uint8_t> cold_oks(n);
-    WideModel().EmbedBlockCached(views, cold_rows.data(), cold_oks.data());
+    WideModel().EmbedBlockCached(views, cold_rows.data(), cold_oks.data(),
+                                 kInsert);
     EXPECT_EQ(rows, cold_rows);
     EXPECT_EQ(oks, cold_oks);
   }
@@ -408,7 +411,7 @@ TEST(EmbeddingTest, GroupedDistancesMatchScalarLoop) {
     const size_t d = model->dim();
     std::vector<float> rows(n * d);
     std::vector<uint8_t> ok(n);
-    model->EmbedBlockCached(views, rows.data(), ok.data());
+    model->EmbedBlockCached(views, rows.data(), ok.data(), kInsert);
     ASSERT_GT(std::count(ok.begin(), ok.end(), 1), 8);
     if (maker == MakeGloveSim) {
       ASSERT_GT(std::count(ok.begin(), ok.end(), 0), 0);
@@ -467,12 +470,53 @@ TEST(EmbeddingTest, MemoCountsHitsAndMisses) {
     std::vector<uint8_t> ok(views.size());
     const uint64_t hits0 = hits.value();
     const uint64_t misses0 = misses.value();
-    model->EmbedBlockCached(views, rows.data(), ok.data());
+    model->EmbedBlockCached(views, rows.data(), ok.data(), kInsert);
     EXPECT_EQ(misses.value() - misses0, n) << model->name();
     EXPECT_EQ(hits.value() - hits0, 0u) << model->name();
-    model->EmbedBlockCached(views, rows.data(), ok.data());
+    model->EmbedBlockCached(views, rows.data(), ok.data(), kInsert);
     EXPECT_EQ(misses.value() - misses0, n) << model->name();
     EXPECT_EQ(hits.value() - hits0, n) << model->name();
+  }
+}
+
+// A read-only block call reads the memo and inserts nothing: its misses
+// stay misses, the memo's bytes do not move, and its rows equal the
+// inserting call's.
+TEST(EmbeddingTest, ReadOnlyCallsInsertNothing) {
+  const metrics::Counter& hits =
+      metrics::Registry::Global().GetCounter(metrics::kMRowCacheHits);
+  const metrics::Counter& misses =
+      metrics::Registry::Global().GetCounter(metrics::kMRowCacheMisses);
+  const metrics::Gauge& bytes =
+      metrics::Registry::Global().GetGauge(metrics::kMRowCacheBytes);
+  const std::vector<std::string> values = ManyProbeValues();
+  const std::vector<std::string_view> views(values.begin(), values.end());
+  const uint64_t n = views.size();
+  for (auto maker : {MakeGloveSim, MakeSbertSim}) {
+    auto model = maker(0x3f0);
+    std::vector<float> read_rows(views.size() * model->dim());
+    std::vector<uint8_t> read_ok(views.size());
+    const uint64_t hits0 = hits.value();
+    const uint64_t misses0 = misses.value();
+    const double bytes0 = bytes.value();
+    for (int pass = 0; pass < 2; ++pass) {
+      model->EmbedBlockCached(views, read_rows.data(), read_ok.data(),
+                              util::MemoWrite::kReadOnly);
+    }
+    EXPECT_EQ(misses.value() - misses0, 2 * n) << model->name();
+    EXPECT_EQ(hits.value() - hits0, 0u) << model->name();
+    EXPECT_EQ(bytes.value(), bytes0) << model->name();
+
+    std::vector<float> rows(views.size() * model->dim());
+    std::vector<uint8_t> ok(views.size());
+    model->EmbedBlockCached(views, rows.data(), ok.data(), kInsert);
+    EXPECT_EQ(rows, read_rows) << model->name();
+    EXPECT_EQ(ok, read_ok) << model->name();
+    // Warm now, a read-only call hits every value.
+    model->EmbedBlockCached(views, read_rows.data(), read_ok.data(),
+                            util::MemoWrite::kReadOnly);
+    EXPECT_EQ(hits.value() - hits0, n) << model->name();
+    EXPECT_EQ(read_rows, rows) << model->name();
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -269,6 +271,33 @@ TEST(ParallelStatsTest, SerialFallbackCounted) {
   ParallelFor(50, [](size_t) {}, Threads(1));
   EXPECT_EQ(CounterValue(metrics::kMParallelSerialInvocations), 1u);
   EXPECT_EQ(CounterValue(metrics::kMParallelItems), 50u);
+}
+
+// A fork-style death test whose statement enters a parallel region after
+// the pool has run: the child must not wait on the parent's workers or on
+// a lock one of them held at the fork. It forgets the workers and runs the
+// region serially, then dies with the message the test expects.
+TEST(ThreadPoolForkTest, FastDeathTestRunsARegionAfterThePoolRan) {
+  std::atomic<size_t> sum{0};
+  ParallelFor(1000, [&](size_t i) { sum.fetch_add(i); }, Threads(4));
+  ASSERT_EQ(sum.load(), 499500u);
+  ASSERT_GT(ThreadPool::Global().num_workers(), 0u);
+  ::testing::GTEST_FLAG(death_test_style) = "fast";
+  EXPECT_DEATH(
+      {
+        std::atomic<size_t> child_sum{0};
+        ParallelFor(1000, [&](size_t i) { child_sum.fetch_add(i); },
+                    Threads(4));
+        std::fprintf(stderr, "child sum=%zu workers=%zu\n", child_sum.load(),
+                     ThreadPool::Global().num_workers());
+        std::abort();
+      },
+      "child sum=499500 workers=0");
+  // The parent's pool still runs regions on its workers.
+  sum = 0;
+  ParallelFor(1000, [&](size_t i) { sum.fetch_add(i); }, Threads(4));
+  EXPECT_EQ(sum.load(), 499500u);
+  EXPECT_GT(ThreadPool::Global().num_workers(), 0u);
 }
 
 }  // namespace

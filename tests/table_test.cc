@@ -32,7 +32,49 @@ TEST(ColumnTest, DistinctEmpty) {
   Column c;
   DistinctValues d = Distinct(c);
   EXPECT_TRUE(d.values.empty());
+  EXPECT_TRUE(d.row_index.empty());
   EXPECT_EQ(d.total, 0u);
+}
+
+// Values, counts and each row's distinct index against a naive quadratic
+// loop, on a column with repeats, empty strings, embedded NULs and long
+// values.
+TEST(ColumnTest, DistinctMatchesNaiveLoop) {
+  Column c;
+  for (size_t i = 0; i < 500; ++i) {
+    switch (i % 7) {
+      case 0:
+        c.values.push_back("");
+        break;
+      case 1:
+        c.values.push_back(std::string("a\0b", 3) + std::to_string(i % 5));
+        break;
+      case 2:
+        c.values.push_back(std::string(40 + i % 3, 'z'));
+        break;
+      default:
+        c.values.push_back("v" + std::to_string((i * 31) % 53));
+    }
+  }
+  std::vector<std::string> values;
+  std::vector<size_t> counts;
+  std::vector<uint32_t> row_index;
+  for (const std::string& v : c.values) {
+    size_t k = 0;
+    while (k < values.size() && values[k] != v) ++k;
+    if (k == values.size()) {
+      values.push_back(v);
+      counts.push_back(0);
+    }
+    ++counts[k];
+    row_index.push_back(static_cast<uint32_t>(k));
+  }
+  const DistinctValues d = Distinct(c);
+  EXPECT_EQ(d.values, values);
+  EXPECT_EQ(d.counts, counts);
+  EXPECT_EQ(d.row_index, row_index);
+  EXPECT_EQ(d.total, c.values.size());
+  EXPECT_EQ(d.size(), values.size());
 }
 
 TEST(ColumnTest, LooksNumeric) {

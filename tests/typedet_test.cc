@@ -200,7 +200,7 @@ TEST(ValidatorsTest, RegistryComplete) {
 // one-value ScoreRows block.
 std::vector<float> ScoreRow(const CtaModelZoo& zoo, std::string_view value) {
   std::vector<float> row(zoo.num_types());
-  zoo.ScoreRows({&value, 1}, row.data());
+  zoo.ScoreRows({&value, 1}, row.data(), util::MemoWrite::kInsert);
   return row;
 }
 
@@ -407,7 +407,7 @@ TEST(EvalFunctionTest, WarmBackendRowsMatchColdModels) {
     if (f->backend() == nullptr) continue;
     if (first_of.try_emplace(f->backend(), f.get()).second) {
       BackendRows rows;
-      f->ComputeBackendRows(probe, &rows);
+      f->ComputeBackendRows(probe, &rows, util::MemoWrite::kInsert);
     }
   }
   // Two zoos and two embedding models back the CTA and embedding families.
@@ -420,7 +420,7 @@ TEST(EvalFunctionTest, WarmBackendRowsMatchColdModels) {
       for (size_t off = 0; off < n; off += block) {
         rows.emplace_back();
         f.ComputeBackendRows(probe.subspan(off, std::min(block, n - off)),
-                             &rows.back());
+                             &rows.back(), util::MemoWrite::kInsert);
       }
       return rows;
     };
@@ -547,7 +547,7 @@ TEST(GoldenBitsTest, SharedModelRowsAndDistances) {
     for (size_t t = 0; t < zoo->num_types(); ++t) {
       const std::unique_ptr<DomainEvalFunction> f = MakeCtaEval(zoo.get(), t);
       BackendRows rows;
-      f->ComputeBackendRows(views, &rows);
+      f->ComputeBackendRows(views, &rows, util::MemoWrite::kInsert);
       if (t == 0) rows_hash.Rows(rows);
       f->DistanceFromRows(rows, dist);
       dist_hash.Distances(dist);
@@ -563,7 +563,7 @@ TEST(GoldenBitsTest, SharedModelRowsAndDistances) {
       const std::unique_ptr<DomainEvalFunction> f =
           MakeEmbeddingEval(model, centroids[m][c]);
       BackendRows rows;
-      f->ComputeBackendRows(views, &rows);
+      f->ComputeBackendRows(views, &rows, util::MemoWrite::kInsert);
       if (c == 0) rows_hash.Rows(rows);
       f->DistanceFromRows(rows, dist);
       dist_hash.Distances(dist);
@@ -640,7 +640,8 @@ TEST(KernelOracleTest, SparseScoringMatchesDenseLoop) {
     std::vector<float> rows(views.size() * nt);
     for (size_t off = 0; off < views.size(); off += 256) {
       const size_t len = std::min<size_t>(256, views.size() - off);
-      zoo->ScoreRows(std::span(views).subspan(off, len), &rows[off * nt]);
+      zoo->ScoreRows(std::span(views).subspan(off, len), &rows[off * nt],
+                     util::MemoWrite::kInsert);
     }
     size_t mismatches = 0;
     for (size_t i = 0; i < views.size(); ++i) {
