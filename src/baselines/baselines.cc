@@ -26,30 +26,22 @@ const ml::FeatureExtractor& OutlierFeatures() {
   return fx;
 }
 
-// Emits one ScoredCell per row whose z-score exceeds the cutoff.
+// Maps per-distinct-value scores back to rows through each row's
+// distinct index, z-scores them, and emits one ScoredCell per row whose
+// z-score exceeds the cutoff.
 std::vector<eval::ScoredCell> FlagByZScore(
-    const std::vector<double>& row_distances, double z_cutoff) {
-  std::vector<double> z = stats::ZScores(row_distances);
+    const table::DistinctValues& distinct,
+    const std::vector<double>& distinct_scores, double z_cutoff) {
+  std::vector<double> row_scores(distinct.row_index.size());
+  for (size_t row = 0; row < row_scores.size(); ++row) {
+    row_scores[row] = distinct_scores[distinct.row_index[row]];
+  }
+  std::vector<double> z = stats::ZScores(row_scores);
   std::vector<eval::ScoredCell> out;
   for (size_t row = 0; row < z.size(); ++row) {
     if (z[row] > z_cutoff) out.push_back({row, z[row]});
   }
   return out;
-}
-
-// Maps per-distinct-value scores back to rows and keeps the top fraction.
-std::vector<eval::ScoredCell> FlagTopOutliers(
-    const table::Column& column, const table::DistinctValues& distinct,
-    const std::vector<double>& distinct_scores, double z_cutoff = 1.0) {
-  std::unordered_map<std::string, double> score_of;
-  for (size_t i = 0; i < distinct.values.size(); ++i) {
-    score_of.emplace(distinct.values[i], distinct_scores[i]);
-  }
-  std::vector<double> row_scores(column.values.size());
-  for (size_t row = 0; row < column.values.size(); ++row) {
-    row_scores[row] = score_of.at(column.values[row]);
-  }
-  return FlagByZScore(row_scores, z_cutoff);
 }
 
 double DeterministicCoin(const std::string& column_key,
@@ -87,7 +79,6 @@ std::vector<eval::ScoredCell> CtaZScoreDetector::Detect(
   std::vector<float> rows(views.size() * nt);
   zoo_->ScoreRows(views, rows.data(), util::MemoWrite::kInsert);
   // Macro step: the best-matching type for the column.
-  size_t best_type = 0;
   double best_mean = -1.0;
   std::vector<double> best_scores;
   for (size_t t = 0; t < nt; ++t) {
@@ -102,21 +93,12 @@ std::vector<eval::ScoredCell> CtaZScoreDetector::Detect(
     mean /= weight;
     if (mean > best_mean) {
       best_mean = mean;
-      best_type = t;
       best_scores = std::move(scores);
     }
   }
-  (void)best_type;
   // Micro step: z-score the per-value distances (1 - score).
-  std::unordered_map<std::string, double> dist_of;
-  for (size_t i = 0; i < distinct.values.size(); ++i) {
-    dist_of.emplace(distinct.values[i], 1.0 - best_scores[i]);
-  }
-  std::vector<double> row_dist(column.values.size());
-  for (size_t row = 0; row < column.values.size(); ++row) {
-    row_dist[row] = dist_of.at(column.values[row]);
-  }
-  return FlagByZScore(row_dist, z_cutoff_);
+  for (double& score : best_scores) score = 1.0 - score;
+  return FlagByZScore(distinct, best_scores, z_cutoff_);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,15 +132,7 @@ std::vector<eval::ScoredCell> EmbeddingZScoreDetector::Detect(
   double* const out[] = {dist.data()};
   embed::GroupedDistances(rows.data(), ok.data(), views.size(), dim,
                           centroid.data(), 1, model_->oov_distance(), out);
-  std::unordered_map<std::string, double> dist_of;
-  for (size_t i = 0; i < views.size(); ++i) {
-    dist_of.emplace(distinct.values[i], dist[i]);
-  }
-  std::vector<double> row_dist(column.values.size());
-  for (size_t row = 0; row < column.values.size(); ++row) {
-    row_dist[row] = dist_of.at(column.values[row]);
-  }
-  return FlagByZScore(row_dist, z_cutoff_);
+  return FlagByZScore(distinct, dist, z_cutoff_);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +248,8 @@ std::vector<eval::ScoredCell> OutlierDetectorBaseline::Detect(
       scores = outlier::SvddScores(points);
       break;
   }
-  return FlagTopOutliers(column, distinct, scores);
+  // Flags the values scoring over one standard deviation above the mean.
+  return FlagByZScore(distinct, scores, 1.0);
 }
 
 // ---------------------------------------------------------------------------

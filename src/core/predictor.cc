@@ -1,13 +1,12 @@
 #include "core/predictor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string_view>
-#include <typeinfo>
 #include <unordered_map>
 
-#include "embed/vector_math.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 
@@ -23,8 +22,6 @@ bool IsServableRule(const Sdc& rule) {
          std::isfinite(rule.d_out) && std::isfinite(rule.m) &&
          std::isfinite(rule.confidence) && rule.d_in <= rule.d_out;
 }
-
-constexpr size_t kNoBackend = SIZE_MAX;
 
 bool TestBit(const uint32_t* bits, size_t bit) {
   return ((bits[bit / 32] >> (bit % 32)) & 1u) != 0;
@@ -49,23 +46,10 @@ struct SdcPredictor::Group {
     size_t precondition;
     size_t beyond_bit;
   };
-  // Functions whose distances this group computes for a block of misses
-  // in one GroupDistanceFromRows call, and the groups that own them.
-  struct Run {
-    std::vector<const typedet::DomainEvalFunction*> evals;
-    std::vector<size_t> groups;
-  };
 
-  const typedet::DomainEvalFunction* eval = nullptr;
-  // Slot of the backend's rows, or kNoBackend for a function scored value
-  // by value through Distance.
-  size_t backend = kNoBackend;
-  // True for the first group reading its backend, which computes the
-  // misses' rows for all of them.
-  bool computes_rows = false;
-  // Empty for an embedding function whose distances an earlier group of
-  // its model computed.
-  std::vector<Run> runs;
+  // Set on the first group of each plan_ source: the source whose
+  // misses this group scores.
+  std::optional<size_t> source;
   std::vector<double> d_ins;  // within bit of d_ins[k]: first_bit + k
   size_t first_bit = 0;
   std::vector<Precondition> preconditions;
@@ -92,13 +76,14 @@ SdcPredictor::SdcPredictor(std::vector<Sdc> rules) {
 
   // Groups in rule order, one per evaluation function.
   std::unordered_map<const typedet::DomainEvalFunction*, size_t> group_of;
+  std::vector<const typedet::DomainEvalFunction*> evals;
   for (size_t r = 0; r < rules_.size(); ++r) {
     const Sdc& rule = rules_[r];
     explanations_.push_back(rule.Describe());
     auto [it, added] = group_of.try_emplace(rule.eval, groups_.size());
     if (added) {
       groups_.emplace_back();
-      groups_.back().eval = rule.eval;
+      evals.push_back(rule.eval);
     }
     Group& group = groups_[it->second];
     size_t within = 0;
@@ -129,45 +114,13 @@ SdcPredictor::SdcPredictor(std::vector<Sdc> rules) {
   }
   words_ = (bits + 31) / 32;
 
-  // Backends in first-group order; the first group of a backend computes
-  // the misses' rows. Each group computes its own distances, except that
-  // the first group of an embedding model computes those of every group of
-  // that model with its dynamic type, in runs of at most
-  // embed::kMaxCentroidGroup, one pass over the rows each.
-  std::vector<const void*> backends;
-  std::vector<bool> scored(groups_.size(), false);
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    Group& group = groups_[g];
-    const void* backend = group.eval->backend();
-    if (backend != nullptr) {
-      auto it = std::find(backends.begin(), backends.end(), backend);
-      group.computes_rows = it == backends.end();
-      group.backend = static_cast<size_t>(it - backends.begin());
-      if (group.computes_rows) backends.push_back(backend);
-    }
-    if (scored[g]) continue;
-    if (backend == nullptr ||
-        group.eval->family() != typedet::Family::kEmbedding) {
-      group.runs.push_back({{group.eval}, {g}});
-      continue;
-    }
-    for (size_t h = g; h < groups_.size(); ++h) {
-      const typedet::DomainEvalFunction& eval = *groups_[h].eval;
-      if (scored[h] || eval.backend() != backend ||
-          eval.family() != typedet::Family::kEmbedding ||
-          typeid(eval) != typeid(*group.eval)) {
-        continue;
-      }
-      if (group.runs.empty() ||
-          group.runs.back().evals.size() == embed::kMaxCentroidGroup) {
-        group.runs.emplace_back();
-      }
-      group.runs.back().evals.push_back(&eval);
-      group.runs.back().groups.push_back(h);
-      scored[h] = true;
-    }
+  // The groups' functions, planned. Each source is scored at its first
+  // group, where its first run begins: a gate that fails ends the walk,
+  // so that group always runs before the source's others.
+  plan_ = typedet::PlanScoring(evals);
+  for (size_t s = 0; s < plan_.sources.size(); ++s) {
+    groups_[plan_.sources[s].runs.front().front()].source = s;
   }
-  num_backends_ = backends.size();
 }
 
 SdcPredictor::SdcPredictor(SdcPredictor&&) noexcept = default;
@@ -201,7 +154,7 @@ BudgetedPrediction SdcPredictor::PredictInternal(
                                             distinct.values.end());
 
   // Every value's comparison bits: the memo's for a hit, computed below
-  // group by group for a miss.
+  // for a miss, each plan source at its first group.
   std::vector<uint32_t> bits(n * words_, 0);
   std::vector<size_t> misses;
   memo_->Lookup(views, words_, bits.data(), /*ok=*/nullptr, &misses);
@@ -210,15 +163,11 @@ BudgetedPrediction SdcPredictor::PredictInternal(
   std::vector<std::string_view> miss_views;
   miss_views.reserve(misses.size());
   for (size_t i : misses) miss_views.push_back(views[i]);
-  // Each backend's rows for the misses, computed at the first of its
-  // groups, which always runs before its siblings.
-  std::vector<typedet::BackendRows> rows(misses.empty() ? 0 : num_backends_);
-  std::vector<double> dist(misses.empty()
-                               ? 0
-                               : embed::kMaxCentroidGroup * misses.size());
-  std::vector<double*> outs;
-  // Sets the misses' bits of group `h` from their distances `d`.
-  auto set_bits = [&](const Group& h, const double* d) {
+  typedet::BackendRows rows;
+  std::vector<double> dist;
+  // Sets the misses' bits of group `g` from their distances `d`.
+  auto set_bits = [&](size_t g, std::span<const double> d) {
+    const Group& h = groups_[g];
     for (size_t j = 0; j < misses.size(); ++j) {
       uint32_t* row = bits.data() + misses[j] * words_;
       for (size_t k = 0; k < h.d_ins.size(); ++k) {
@@ -262,31 +211,12 @@ BudgetedPrediction SdcPredictor::PredictInternal(
     }
     ++result.groups_evaluated;
 
-    // The misses' distances, one per value per evaluation function, and
-    // from them their bits.
-    if (!misses.empty()) {
-      if (group.backend == kNoBackend) {
-        for (size_t j = 0; j < misses.size(); ++j) {
-          dist[j] = group.eval->Distance(miss_views[j]);
-        }
-        set_bits(group, dist.data());
-      } else {
-        typedet::BackendRows& backend_rows = rows[group.backend];
-        if (group.computes_rows) {
-          group.eval->ComputeBackendRows(miss_views, &backend_rows,
-                                         util::MemoWrite::kReadOnly);
-        }
-        for (const Group::Run& run : group.runs) {
-          outs.clear();
-          for (size_t g = 0; g < run.evals.size(); ++g) {
-            outs.push_back(dist.data() + g * misses.size());
-          }
-          run.evals[0]->GroupDistanceFromRows(run.evals, backend_rows, outs);
-          for (size_t g = 0; g < run.groups.size(); ++g) {
-            set_bits(groups_[run.groups[g]], outs[g]);
-          }
-        }
-      }
+    // The misses' distances through every function of this group's
+    // source, one per value per function, and from them their bits.
+    if (!misses.empty() && group.source.has_value()) {
+      typedet::ScoreSource(plan_, *group.source, miss_views,
+                           util::MemoWrite::kReadOnly, &rows, &dist,
+                           set_bits);
     }
 
     // Appendix B.2: each distinct pre-condition once.

@@ -7,6 +7,7 @@
 
 #include "core/sdc.h"
 #include "table/column.h"
+#include "typedet/domain_eval.h"
 #include "util/budget.h"
 #include "util/retry.h"
 #include "util/row_cache.h"
@@ -120,8 +121,8 @@ class SdcPredictor {
   /// Each rule's Describe(), the explanation of its detections.
   std::vector<std::string> explanations_;
   std::vector<Group> groups_;
-  /// Shared backends the groups read, each with one slot of rows.
-  size_t num_backends_ = 0;
+  /// How the misses are scored: group g's function is plan_.functions[g].
+  typedet::ScoringPlan plan_;
   /// 32-bit words of comparison bits per value.
   size_t words_ = 0;
   size_t skipped_rules_ = 0;

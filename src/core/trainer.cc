@@ -1,17 +1,14 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <mutex>
 #include <span>
 #include <string_view>
-#include <typeinfo>
 #include <unordered_set>
 
 #include "core/threshold_bytes.h"
-#include "embed/vector_math.h"
 #include "stats/statistics.h"
 #include "table/column_store.h"
 #include "util/check.h"
@@ -89,7 +86,7 @@ struct EvalPass {
   std::vector<uint32_t> col_total;    // num_cols
   std::vector<uint32_t> trig_total;   // no
   // bucket_c[i][k], bucket_ct[i][o][k]: columns whose coverage fraction
-  // first satisfies m_grid[k] at inner threshold i.
+  // first satisfies kMGrid[k] at inner threshold i.
   std::vector<uint32_t> bucket_c;     // ni * num_m
   std::vector<uint32_t> bucket_ct;    // ni * no * num_m
   // middle_band[i][k]: columns whose fraction falls in the ambiguous band
@@ -114,11 +111,11 @@ EvalPass MakeEvalPass(size_t num_cols, size_t num_m, size_t ni, size_t no) {
 // per d_in) and outer-ball trigger flags `trig` (one per d_out) — into the
 // pass accumulators: bucketing by the largest matching percentage
 // satisfied, the middle-band screen, and the trigger tallies.
-void FoldColumn(const TrainOptions& options, size_t c, uint32_t total_weight,
-                const uint32_t* cov, const uint8_t* trig, EvalPass* pass) {
+void FoldColumn(size_t c, uint32_t total_weight, const uint32_t* cov,
+                const uint8_t* trig, EvalPass* pass) {
   const size_t ni = pass->ni;
   const size_t no = pass->no;
-  const size_t num_m = options.m_grid.size();
+  const size_t num_m = kMGrid.size();
   ++pass->eligible_cols;
   pass->col_total[c] = total_weight;
   for (size_t o = 0; o < no; ++o) {
@@ -131,13 +128,13 @@ void FoldColumn(const TrainOptions& options, size_t c, uint32_t total_weight,
     // First m-grid index satisfied (grid is descending).
     size_t k0 = num_m;
     for (size_t k = 0; k < num_m; ++k) {
-      if (options.m_grid[k] <= frac + 1e-9) {
+      if (kMGrid[k] <= frac + 1e-9) {
         k0 = k;
         break;
       }
     }
     for (size_t k = 0; k < num_m; ++k) {
-      double m = options.m_grid[k];
+      double m = kMGrid[k];
       if (frac + 1e-9 < m && frac >= 0.5 * m) {
         ++pass->middle_band[i * num_m + k];
       }
@@ -151,7 +148,7 @@ void FoldColumn(const TrainOptions& options, size_t c, uint32_t total_weight,
 }
 
 // Prefix sums over the m axis: covered(i,k) counts all columns whose
-// fraction satisfies m_grid[k] (k' <= k satisfied => covered for the
+// fraction satisfies kMGrid[k] (k' <= k satisfied => covered for the
 // looser m too).
 void PrefixSumBuckets(size_t num_m, EvalPass* pass) {
   for (size_t i = 0; i < pass->ni; ++i) {
@@ -171,21 +168,18 @@ void PrefixSumBuckets(size_t num_m, EvalPass* pass) {
 // function's bucket byte for every pool value, one histogram of at most
 // 19 bins per column, no per-column profiles.
 EvalPass BuildPass(const table::ColumnStore& store, const uint8_t* bytes,
-                   const Thresholds& th, const TrainOptions& options) {
+                   const Thresholds& th) {
   const size_t num_cols = store.num_columns();
   const size_t ni = th.ni;
   const size_t no = th.no();
-  EvalPass pass = MakeEvalPass(num_cols, options.m_grid.size(), ni, no);
+  EvalPass pass = MakeEvalPass(num_cols, kMGrid.size(), ni, no);
 
   std::vector<uint64_t> within(th.bounds.size());
   std::vector<uint32_t> cov(ni);
   std::vector<uint8_t> trig(no);
   for (size_t c = 0; c < num_cols; ++c) {
     table::ColumnStore::ColumnRef col = store.column(c);
-    if (col.total_weight == 0 ||
-        col.size() < options.min_distinct_values) {
-      continue;
-    }
+    if (col.total_weight == 0 || col.size() < kMinDistinctValues) continue;
     CountWithinBytes(col.ids, col.counts, bytes, th.bounds.size(),
                      within.data());
     for (size_t i = 0; i < ni; ++i) {
@@ -194,10 +188,10 @@ EvalPass BuildPass(const table::ColumnStore& store, const uint8_t* bytes,
     for (size_t o = 0; o < no; ++o) {
       trig[o] = col.total_weight - within[ni + o] > 0 ? 1 : 0;
     }
-    FoldColumn(options, c, static_cast<uint32_t>(col.total_weight),
-               cov.data(), trig.data(), &pass);
+    FoldColumn(c, static_cast<uint32_t>(col.total_weight), cov.data(),
+               trig.data(), &pass);
   }
-  PrefixSumBuckets(options.m_grid.size(), &pass);
+  PrefixSumBuckets(kMGrid.size(), &pass);
   return pass;
 }
 
@@ -218,7 +212,7 @@ std::vector<PendingCandidate> EnumerateCandidates(
   std::vector<PendingCandidate> pending;
   const size_t ni = pass.ni;
   const size_t no = pass.no;
-  const size_t num_m = options.m_grid.size();
+  const size_t num_m = kMGrid.size();
   const int64_t n_total = static_cast<int64_t>(pass.eligible_cols);
   for (size_t i = 0; i < ni; ++i) {
     for (size_t o = 0; o < no; ++o) {
@@ -241,7 +235,7 @@ std::vector<PendingCandidate> EnumerateCandidates(
 
         double confidence =
             options.use_wilson
-                ? stats::SdcConfidence(table, options.wilson_z)
+                ? stats::SdcConfidence(table, kWilsonZ)
                 : (covered > 0
                        ? 1.0 - static_cast<double>(covered_trig) /
                                    static_cast<double>(covered)
@@ -252,13 +246,10 @@ std::vector<PendingCandidate> EnumerateCandidates(
         if (options.use_cohens_h && h < options.h_threshold) {
           keep = false;
         }
-        if (options.use_chi_squared && p >= options.p_threshold) {
-          keep = false;
-        }
-        if (options.use_separation_test &&
+        if (kUseChiSquared && p >= kPThreshold) keep = false;
+        if (kUseSeparationTest &&
             static_cast<double>(pass.middle_band[i * num_m + k]) >
-                options.max_middle_band_fraction *
-                    static_cast<double>(n_total)) {
+                kMaxMiddleBandFraction * static_cast<double>(n_total)) {
           keep = false;
         }
         if (!keep) {
@@ -272,7 +263,7 @@ std::vector<PendingCandidate> EnumerateCandidates(
         cand.sdc.eval = &eval;
         cand.sdc.d_in = th.d_in(i);
         cand.sdc.d_out = th.d_out(o);
-        cand.sdc.m = options.m_grid[k];
+        cand.sdc.m = kMGrid[k];
         cand.sdc.confidence = confidence;
         cand.sdc.fpr = static_cast<double>(covered_trig) /
                        static_cast<double>(n_total);
@@ -291,7 +282,7 @@ std::vector<PendingCandidate> EnumerateCandidates(
 // candidate timing no longer absorbs a clock-pair per survivor. It reads
 // the synthetic error values' exact distances, so a NaN distance counts
 // as outside every threshold here while the fold counts it as within.
-void DetectSynthetic(const TrainOptions& options, const EvalPass& pass,
+void DetectSynthetic(const EvalPass& pass,
                      const std::vector<SyntheticColumn>& synthetic,
                      std::span<const double> syn_dist,
                      std::vector<PendingCandidate> pending,
@@ -312,7 +303,7 @@ void DetectSynthetic(const TrainOptions& options, const EvalPass& pass,
         det.push_back(static_cast<uint32_t>(j));
       }
     }
-    if (options.drop_zero_recall && det.empty()) {
+    if (kDropZeroRecall && det.empty()) {
       ++res->rejected;
       continue;
     }
@@ -369,11 +360,6 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
                            const typedet::EvalFunctionSet& evals,
                            const TrainOptions& options) {
   AT_CHECK(!corpus.empty());
-  AT_CHECK(!options.m_grid.empty());
-  for (size_t k = 1; k < options.m_grid.size(); ++k) {
-    AT_CHECK_MSG(options.m_grid[k] < options.m_grid[k - 1],
-                 "m_grid must be strictly descending");
-  }
 
   // Shared precomputation: distinct values per corpus column.
   util::parallel::Options par_opt;
@@ -402,8 +388,7 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
 
   const int64_t min_cov =
       options.enable_pruning
-          ? stats::MinCoverageForConfidence(options.min_confidence,
-                                            options.wilson_z)
+          ? stats::MinCoverageForConfidence(options.min_confidence, kWilsonZ)
           : 0;
 
   // One task per chunk in both passes below: per-task cost is highly
@@ -418,64 +403,21 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
     thresholds[fi] = MakeThresholds(evals.at(fi));
   }
 
-  // Runs: each run of at most embed::kMaxCentroidGroup consecutive
-  // embedding functions of one model (same backend and dynamic type)
-  // takes one GroupDistanceFromRows call per block, one pass over the
-  // model's rows; every other function is a run of one.
-  struct Run {
-    size_t first = 0;
-    size_t count = 1;
-  };
-  auto groups_with = [&](size_t lead, size_t fi) {
-    const typedet::DomainEvalFunction& a = evals.at(lead);
-    const typedet::DomainEvalFunction& b = evals.at(fi);
-    return a.family() == typedet::Family::kEmbedding &&
-           a.backend() != nullptr && a.backend() == b.backend() &&
-           typeid(a) == typeid(b);
-  };
-  std::vector<Run> runs;
-  for (size_t fi = 0; fi < evals.size(); fi += runs.back().count) {
-    runs.push_back(Run{fi, 1});
-    while (runs.back().count < embed::kMaxCentroidGroup &&
-           fi + runs.back().count < evals.size() &&
-           groups_with(fi, fi + runs.back().count)) {
-      ++runs.back().count;
-    }
-  }
+  // Which function computes each backend's rows, and which functions
+  // share a distance pass (DESIGN.md §4k).
+  std::vector<const typedet::DomainEvalFunction*> functions(evals.size());
+  for (size_t fi = 0; fi < evals.size(); ++fi) functions[fi] = &evals.at(fi);
+  const typedet::ScoringPlan plan = typedet::PlanScoring(functions);
 
-  // Sources: each shared backend (CTA zoo, embedding model) in
-  // first-function order, with its runs and the first function reading it,
-  // which computes the rows for all; then one source for the functions
-  // without a backend.
-  struct Source {
-    const typedet::DomainEvalFunction* backend = nullptr;
-    std::vector<Run> runs;
-  };
-  std::vector<Source> sources;
-  Source no_backend;
-  for (const Run& run : runs) {
-    const typedet::DomainEvalFunction& lead = evals.at(run.first);
-    if (lead.backend() == nullptr) {
-      no_backend.runs.push_back(run);
-      continue;
-    }
-    auto it =
-        std::find_if(sources.begin(), sources.end(), [&](const Source& s) {
-          return s.backend->backend() == lead.backend();
-        });
-    if (it == sources.end()) it = sources.insert(it, Source{&lead, {}});
-    it->runs.push_back(run);
-  }
-  if (!no_backend.runs.empty()) sources.push_back(std::move(no_backend));
-
-  // Block pass: one task per (source, 256-value pool block), so every
-  // backend computes every block's rows exactly once, into per-thread
-  // scratch. The task turns them into each run's distances for the block
-  // (the backend-less source loops Distance over it) and each distance at
-  // once into the function's bucket byte. Only the bytes, one per
-  // (function, pool value), and the exact distances of the synthetic
-  // error values outlive the task. The tasks' time counts as candidate
-  // generation, like the scoring it feeds.
+  // Block pass: one task per (plan source, 256-value pool block), so
+  // every backend computes every block's rows exactly once, into
+  // per-thread scratch. ScoreSource turns them into each function's
+  // distances for the block (the backend-less source loops Distance over
+  // it), and the task turns each distance at once into the function's
+  // bucket byte. Only the bytes, one per (function, pool value), and the
+  // exact distances of the synthetic error values outlive the task. The
+  // tasks' time counts as candidate generation, like the scoring it
+  // feeds.
   const std::span<const std::string_view> pool = store.pool();
   const size_t num_blocks =
       (pool.size() + kEvalBatchSize - 1) / kEvalBatchSize;
@@ -488,53 +430,29 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
     syn_of_block[syn_ids[j] / kEvalBatchSize].push_back(
         static_cast<uint32_t>(j));
   }
-  std::vector<double> block_seconds(sources.size() * num_blocks, 0.0);
+  std::vector<double> block_seconds(plan.sources.size() * num_blocks, 0.0);
   util::parallel::ParallelFor(
       block_seconds.size(),
       [&](size_t task) {
         auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
-        const Source& source = sources[task / num_blocks];
         const size_t block = task % num_blocks;
         const size_t off = block * kEvalBatchSize;
         const size_t n = std::min(kEvalBatchSize, pool.size() - off);
-        const std::span<const std::string_view> values =
-            pool.subspan(off, n);
         thread_local typedet::BackendRows rows;
-        thread_local std::vector<double> dist(embed::kMaxCentroidGroup *
-                                              kEvalBatchSize);
-        if (source.backend != nullptr) {
-          source.backend->ComputeBackendRows(values, &rows,
-                                             util::MemoWrite::kInsert);
-        }
-        std::array<const typedet::DomainEvalFunction*,
-                   embed::kMaxCentroidGroup>
-            group;
-        std::array<double*, embed::kMaxCentroidGroup> outs;
-        for (const Run& run : source.runs) {
-          for (size_t g = 0; g < run.count; ++g) {
-            group[g] = &evals.at(run.first + g);
-            outs[g] = dist.data() + g * kEvalBatchSize;
-          }
-          if (source.backend != nullptr) {
-            group[0]->GroupDistanceFromRows({group.data(), run.count}, rows,
-                                            {outs.data(), run.count});
-          } else {
-            for (size_t v = 0; v < n; ++v) {
-              outs[0][v] = group[0]->Distance(values[v]);
-            }
-          }
-          for (size_t g = 0; g < run.count; ++g) {
-            const size_t fi = run.first + g;
-            const std::span<const double> bounds = thresholds[fi].bounds;
-            uint8_t* out = bytes.data() + fi * pool.size() + off;
-            for (size_t v = 0; v < n; ++v) {
-              out[v] = ThresholdByte(bounds, outs[g][v]);
-            }
-            for (uint32_t j : syn_of_block[block]) {
-              syn_dist[fi * num_syn + j] = outs[g][syn_ids[j] - off];
-            }
-          }
-        }
+        thread_local std::vector<double> dist;
+        typedet::ScoreSource(
+            plan, task / num_blocks, pool.subspan(off, n),
+            util::MemoWrite::kInsert, &rows, &dist,
+            [&](size_t fi, std::span<const double> d) {
+              const std::span<const double> bounds = thresholds[fi].bounds;
+              uint8_t* out = bytes.data() + fi * pool.size() + off;
+              for (size_t v = 0; v < n; ++v) {
+                out[v] = ThresholdByte(bounds, d[v]);
+              }
+              for (uint32_t j : syn_of_block[block]) {
+                syn_dist[fi * num_syn + j] = d[syn_ids[j] - off];
+              }
+            });
         auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
         block_seconds[task] = Seconds(t0, t1);
       },
@@ -573,8 +491,7 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
         // tests, no clock reads.
         auto t0 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
         const Thresholds& th = thresholds[fi];
-        EvalPass pass =
-            BuildPass(store, bytes.data() + fi * pool.size(), th, options);
+        EvalPass pass = BuildPass(store, bytes.data() + fi * pool.size(), th);
         std::vector<PendingCandidate> pending = EnumerateCandidates(
             options, th, pass, fi, evals.at(fi), min_cov, &res);
         auto t1 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing
@@ -582,7 +499,7 @@ TrainedModel TrainAutoTest(const table::Corpus& corpus,
 
         // Deferred detection pass for the survivors, attributed to recall
         // estimation as one block.
-        DetectSynthetic(options, pass, synthetic,
+        DetectSynthetic(pass, synthetic,
                         {syn_dist.data() + fi * num_syn, num_syn},
                         std::move(pending), &res);
         auto t2 = Clock::now();  // at_lint: disable(R2) wall-clock phase timing

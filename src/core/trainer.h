@@ -1,8 +1,10 @@
 #ifndef AUTOTEST_CORE_TRAINER_H_
 #define AUTOTEST_CORE_TRAINER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/sdc.h"
@@ -21,43 +23,56 @@ inline constexpr std::array<double, 8> kDInFracs = {
 inline constexpr std::array<double, 10> kDOutFracs = {
     0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95};
 
-/// Offline-training options (paper Sections 5.1-5.2).
-struct TrainOptions {
-  /// Matching-percentage grid (descending), step 0.05 like the paper.
-  std::vector<double> m_grid = {1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7};
+/// Matching-percentage grid m, strictly descending, step 0.05 like the
+/// paper.
+inline constexpr std::array<double, 7> kMGrid = {
+    1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7};
+static_assert(std::adjacent_find(kMGrid.begin(), kMGrid.end(),
+                                 std::less_equal<>()) == kMGrid.end(),
+              "kMGrid must be strictly descending");
 
+/// Statistical tests (Section 5.2): the chi-squared test at significance
+/// kPThreshold, and the z of the Wilson lower bound the confidence is
+/// calibrated with.
+inline constexpr bool kUseChiSquared = true;
+inline constexpr double kPThreshold = 0.05;
+inline constexpr double kWilsonZ = 1.65;
+
+/// "Natural separation" screen (operationalizing the paper's Figure 6): a
+/// good inner ball splits corpus columns bimodally — a column is either
+/// mostly inside (in-domain) or mostly outside. Candidates for which more
+/// than kMaxMiddleBandFraction of columns have an inner-ball fraction in
+/// the ambiguous middle band [m/2, m) are rejected. This is what rejects
+/// adversarial random-hash functions, whose inner-ball fractions smear
+/// binomially instead of separating.
+inline constexpr bool kUseSeparationTest = true;
+inline constexpr double kMaxMiddleBandFraction = 0.05;
+
+/// Corpus columns with fewer distinct values are excluded from training
+/// statistics: a near-constant column is trivially "covered" by any
+/// random partition of the value space and carries no evidence (see the
+/// paper's Appendix A on short/low-distinct columns hindering learning).
+inline constexpr size_t kMinDistinctValues = 5;
+
+/// Drop candidates whose estimated recall is zero (empty D(r)): they can
+/// never contribute to the recall-maximization objective of Definition 3
+/// and carry no evidence of detecting anything.
+inline constexpr bool kDropZeroRecall = true;
+
+/// Offline-training options (paper Sections 5.1-5.2); the fixed settings
+/// are the constants above.
+struct TrainOptions {
   /// Statistical-test thresholds (Section 5.2).
-  double h_threshold = 0.8;   // Cohen's h "large effect"
-  double p_threshold = 0.05;  // chi-squared significance
+  double h_threshold = 0.8;  // Cohen's h "large effect"
   /// Minimal calibrated confidence to keep a candidate. Also implies a
   /// coverage floor via the Appendix-B.1 bound (the paper's worked example
   /// uses c_thres = 0.9); low values would let statistically meaningless
   /// micro-coverage candidates through.
   double min_confidence = 0.8;
-  double wilson_z = 1.65;
-  /// "Natural separation" screen (operationalizing the paper's Figure 6):
-  /// a good inner ball splits corpus columns bimodally — a column is either
-  /// mostly inside (in-domain) or mostly outside. Candidates for which more
-  /// than `max_middle_band_fraction` of columns have an inner-ball fraction
-  /// in the ambiguous middle band [m/2, m) are rejected. This is what
-  /// rejects adversarial random-hash functions, whose inner-ball fractions
-  /// smear binomially instead of separating.
-  bool use_separation_test = true;
-  double max_middle_band_fraction = 0.05;
-  /// Corpus columns with fewer distinct values are excluded from training
-  /// statistics: a near-constant column is trivially "covered" by any
-  /// random partition of the value space and carries no evidence (see the
-  /// paper's Appendix A on short/low-distinct columns hindering learning).
-  size_t min_distinct_values = 5;
-  /// Drop candidates whose estimated recall is zero (empty D(r)): they can
-  /// never contribute to the recall-maximization objective of Definition 3
-  /// and carry no evidence of detecting anything.
-  bool drop_zero_recall = true;
 
   /// Ablation switches (paper Table 8 / Figures 20-21).
-  bool use_wilson = true;       // false -> raw ratio confidence estimate
-  bool use_cohens_h = true;     // false -> skip effect-size test
-  bool use_chi_squared = true;  // false -> skip significance test
+  bool use_wilson = true;    // false -> raw ratio confidence estimate
+  bool use_cohens_h = true;  // false -> skip effect-size test
 
   /// Appendix B.1 pruning: skip statistical evaluation of candidates whose
   /// coverage cannot reach min_confidence.
@@ -128,12 +143,10 @@ struct TrainedModel {
 /// recall estimation) against the corpus. Deterministic in options.seed.
 /// The corpus pass is columnar (DESIGN.md §4k): every distinct corpus
 /// value is interned once into a shared arena-backed pool. A block pass
-/// then computes each shared backend's (DomainEvalFunction::backend())
-/// rows once per 256-value block of the pool, turns them into every
-/// function's distances for the block, or scores the block value by value
-/// through Distance for the functions without a backend, and keeps one
-/// bucket byte per (function, pool value). A function pass folds each
-/// function's corpus columns from its bytes.
+/// then scores each 256-value block of the pool through the functions'
+/// typedet::ScoringPlan, so each shared backend computes a block's rows
+/// once, and keeps one bucket byte per (function, pool value). A
+/// function pass folds each function's corpus columns from its bytes.
 TrainedModel TrainAutoTest(const table::Corpus& corpus,
                            const typedet::EvalFunctionSet& evals,
                            const TrainOptions& options = {});

@@ -2,6 +2,7 @@
 #define AUTOTEST_TYPEDET_DOMAIN_EVAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -65,8 +66,8 @@ class DomainEvalFunction {
   /// the same non-null identity compute identical rows for a value, so a
   /// caller that evaluates several of them computes the rows once per
   /// block of values (ComputeBackendRows) and hands them to every sibling
-  /// (DistanceFromRows). The trainer and the predictor do exactly that
-  /// (DESIGN.md §4k).
+  /// (DistanceFromRows). ScoringPlan (below) plans exactly that for the
+  /// trainer and the predictor (DESIGN.md §4k).
   virtual const void* backend() const { return nullptr; }
 
   /// Fills `rows` with the backend's rows for a block of values. Called
@@ -92,11 +93,10 @@ class DomainEvalFunction {
   /// Distances of a group of functions with this function's backend() and
   /// dynamic type, this one first, for one block of rows: outs[g] receives
   /// rows.size() distances of group[g], bit-identical to
-  /// group[g]->DistanceFromRows. The trainer hands each run of at most
-  /// embed::kMaxCentroidGroup consecutive embedding functions of one model
-  /// to its first (DESIGN.md §4k). The default calls DistanceFromRows once
-  /// per function; an embedding function computes the whole group in one
-  /// pass over the rows.
+  /// group[g]->DistanceFromRows. ScoreSource hands each run of a
+  /// ScoringPlan to its first function. The default calls
+  /// DistanceFromRows once per function; an embedding function computes
+  /// the whole group in one pass over the rows.
   virtual void GroupDistanceFromRows(
       std::span<const DomainEvalFunction* const> group,
       const BackendRows& rows, std::span<double* const> outs) const {
@@ -126,6 +126,50 @@ class DomainEvalFunction {
   std::string id_;
   Family family_;
 };
+
+/// How a list of evaluation functions shares work when it scores a block
+/// of values (DESIGN.md §4k). Each backend is one source, whose first
+/// function computes the rows once for all of the source's functions.
+/// Its functions form runs, each scored in one GroupDistanceFromRows
+/// call: up to embed::kMaxCentroidGroup embedding functions of one model
+/// and dynamic type, in list order, share one pass over the model's
+/// rows, and every other function is a run of one. The functions
+/// without a backend form the last source, scored value by value
+/// through Distance, one function per run.
+struct ScoringPlan {
+  /// Indices into `functions`, in list order.
+  using Run = std::vector<size_t>;
+  struct Source {
+    /// The source's first function, which computes the rows; null for
+    /// the functions without a backend.
+    const DomainEvalFunction* rows = nullptr;
+    /// The first run begins with the source's first function in list
+    /// order.
+    std::vector<Run> runs;
+  };
+  /// The planned list.
+  std::vector<const DomainEvalFunction*> functions;
+  /// Backends in first-function order, then the functions without one.
+  std::vector<Source> sources;
+};
+
+/// Plans `functions` (see ScoringPlan). On EvalFunctionSet::Build order,
+/// where each model's functions are consecutive, a model's runs are its
+/// functions in consecutive runs of embed::kMaxCentroidGroup.
+ScoringPlan PlanScoring(std::span<const DomainEvalFunction* const> functions);
+
+/// Scores `values` through one source of `plan`: computes its rows into
+/// `rows` (inserting them into the backend's memo as `write` says), then
+/// each run's distances into `dist`, and calls emit(i, d) with the
+/// values.size() distances d of plan.functions[i], for each function of
+/// the source in run order. `rows` and `dist` are the caller's scratch;
+/// `d` points into `dist` and lives until the next run. Each distance is
+/// bit-identical to the function's Distance on the same value.
+void ScoreSource(
+    const ScoringPlan& plan, size_t source,
+    std::span<const std::string_view> values, util::MemoWrite write,
+    BackendRows* rows, std::vector<double>* dist,
+    const std::function<void(size_t, std::span<const double>)>& emit);
 
 }  // namespace autotest::typedet
 

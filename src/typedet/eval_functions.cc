@@ -1,8 +1,11 @@
 #include "typedet/eval_functions.h"
 
 #include <algorithm>
+#include <array>
+#include <typeinfo>
 #include <unordered_set>
 
+#include "embed/vector_math.h"
 #include "pattern/miner.h"
 #include "table/column.h"
 #include "typedet/shipped_zoos.h"
@@ -16,9 +19,8 @@ namespace {
 
 // Distance of one value through a function's backend: a one-value block,
 // so scalar callers read the same memoized rows and the same kernel as
-// the trainer's and the predictor's blocks. The rows are per-thread
-// scratch, so a scalar call allocates nothing once its thread has scored
-// a value.
+// ScoreSource's blocks. The rows are per-thread scratch, so a scalar call
+// allocates nothing once its thread has scored a value.
 double DistanceViaRows(const DomainEvalFunction& f, std::string_view value) {
   thread_local BackendRows rows;
   f.ComputeBackendRows({&value, 1}, &rows, util::MemoWrite::kInsert);
@@ -346,6 +348,79 @@ std::vector<const DomainEvalFunction*> EvalFunctionSet::FamilyFunctions(
     if (f->family() == family) out.push_back(f.get());
   }
   return out;
+}
+
+ScoringPlan PlanScoring(std::span<const DomainEvalFunction* const> functions) {
+  ScoringPlan plan;
+  plan.functions.assign(functions.begin(), functions.end());
+  ScoringPlan::Source no_backend;
+  std::vector<bool> planned(functions.size(), false);
+  for (size_t i = 0; i < functions.size(); ++i) {
+    if (planned[i]) continue;
+    const DomainEvalFunction& lead = *functions[i];
+    if (lead.backend() == nullptr) {
+      no_backend.runs.push_back({i});
+      continue;
+    }
+    auto source = std::find_if(
+        plan.sources.begin(), plan.sources.end(),
+        [&](const ScoringPlan::Source& s) {
+          return s.rows->backend() == lead.backend();
+        });
+    if (source == plan.sources.end()) {
+      source = plan.sources.insert(source, ScoringPlan::Source{&lead, {}});
+    }
+    // An embedding function leads every later one of its model and
+    // dynamic type, in runs of at most kMaxCentroidGroup.
+    auto joins = [&](const DomainEvalFunction& f) {
+      return lead.family() == Family::kEmbedding &&
+             f.family() == Family::kEmbedding &&
+             f.backend() == lead.backend() && typeid(f) == typeid(lead);
+    };
+    ScoringPlan::Run run = {i};
+    for (size_t j = i + 1; j < functions.size(); ++j) {
+      if (planned[j] || !joins(*functions[j])) continue;
+      if (run.size() == embed::kMaxCentroidGroup) {
+        source->runs.push_back(std::move(run));
+        run.clear();
+      }
+      run.push_back(j);
+      planned[j] = true;
+    }
+    source->runs.push_back(std::move(run));
+  }
+  if (!no_backend.runs.empty()) plan.sources.push_back(std::move(no_backend));
+  return plan;
+}
+
+void ScoreSource(
+    const ScoringPlan& plan, size_t source,
+    std::span<const std::string_view> values, util::MemoWrite write,
+    BackendRows* rows, std::vector<double>* dist,
+    const std::function<void(size_t, std::span<const double>)>& emit) {
+  const ScoringPlan::Source& s = plan.sources[source];
+  const size_t n = values.size();
+  if (dist->size() < embed::kMaxCentroidGroup * n) {
+    dist->resize(embed::kMaxCentroidGroup * n);
+  }
+  if (s.rows != nullptr) s.rows->ComputeBackendRows(values, rows, write);
+  std::array<const DomainEvalFunction*, embed::kMaxCentroidGroup> group;
+  std::array<double*, embed::kMaxCentroidGroup> outs;
+  for (const ScoringPlan::Run& run : s.runs) {
+    for (size_t g = 0; g < run.size(); ++g) {
+      group[g] = plan.functions[run[g]];
+      outs[g] = dist->data() + g * n;
+    }
+    if (s.rows != nullptr) {
+      group[0]->GroupDistanceFromRows({group.data(), run.size()}, *rows,
+                                      {outs.data(), run.size()});
+    } else {
+      for (size_t v = 0; v < n; ++v) {
+        outs[0][v] = group[0]->Distance(values[v]);
+      }
+    }
+    for (size_t g = 0; g < run.size(); ++g) emit(run[g], {outs[g], n});
+  }
 }
 
 }  // namespace autotest::typedet

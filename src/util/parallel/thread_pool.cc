@@ -122,10 +122,6 @@ size_t DefaultThreadCount() {
   return hc == 0 ? 1 : static_cast<size_t>(hc);
 }
 
-size_t ReduceGrain(size_t n) {
-  return std::clamp<size_t>(n / 64, 1, kMaxGrain);
-}
-
 struct ThreadPool::JobState {
   const ChunkFn* body = nullptr;
   size_t n = 0;
@@ -382,16 +378,6 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
       n, opt.grain, opt.num_threads, [&fn](size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) fn(i);
       });
-}
-
-void ParallelForEachChunk(size_t n, const ChunkFn& fn, const Options& opt) {
-  size_t grain = opt.grain;
-  if (grain == 0) {
-    size_t threads =
-        opt.num_threads == 0 ? DefaultThreadCount() : opt.num_threads;
-    grain = HeuristicGrain(n, threads);
-  }
-  ThreadPool::Global().RunChunked(n, grain, opt.num_threads, fn);
 }
 
 }  // namespace autotest::util::parallel

@@ -7,7 +7,6 @@
 #include <functional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/mutex.h"
@@ -19,9 +18,8 @@ namespace autotest::util::parallel {
 struct Options {
   /// Max participants (caller included). 0 = DefaultThreadCount().
   size_t num_threads = 0;
-  /// Items per chunk. 0 = heuristic: ParallelFor/ParallelForEachChunk size
-  /// chunks off the participant count; ParallelReduce uses a grain that
-  /// depends only on n so its merge tree is identical across thread counts.
+  /// Items per chunk. 0 = heuristic: chunks sized off the participant
+  /// count.
   size_t grain = 0;
 };
 
@@ -109,41 +107,6 @@ std::string FormatStats();
 /// to per-index slots to keep the computation deterministic.
 void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                  const Options& opt = {});
-
-/// Runs fn(begin, end) over a chunked partition of [0, n); the partition is
-/// a pure function of (n, grain), never of the thread count.
-void ParallelForEachChunk(size_t n, const ChunkFn& fn,
-                          const Options& opt = {});
-
-/// Grain used by ParallelReduce when opt.grain == 0: depends only on n, so
-/// chunk boundaries — and therefore floating-point merge order — are
-/// identical across thread counts.
-size_t ReduceGrain(size_t n);
-
-/// Deterministic parallel reduction. map(i, acc) folds item i into a
-/// chunk-local accumulator seeded with identity; chunk partials are then
-/// merged serially in ascending chunk order via reduce(acc, partial).
-/// Because the chunk partition depends only on (n, grain), results are
-/// bit-identical across thread counts, including for floating point.
-template <typename T, typename MapFn, typename ReduceFn>
-T ParallelReduce(size_t n, T identity, MapFn&& map, ReduceFn&& reduce,
-                 const Options& opt = {}) {
-  if (n == 0) return identity;
-  const size_t grain = opt.grain != 0 ? opt.grain : ReduceGrain(n);
-  const size_t num_chunks = (n + grain - 1) / grain;
-  std::vector<T> partials(num_chunks, identity);
-  ThreadPool::Global().RunChunked(
-      n, grain, opt.num_threads, [&](size_t begin, size_t end) {
-        T acc = identity;
-        for (size_t i = begin; i < end; ++i) map(i, acc);
-        partials[begin / grain] = std::move(acc);
-      });
-  T out = std::move(identity);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    out = reduce(std::move(out), std::move(partials[c]));
-  }
-  return out;
-}
 
 }  // namespace autotest::util::parallel
 

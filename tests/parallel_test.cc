@@ -1,21 +1,17 @@
 // Tests for the persistent work-stealing pool in util/parallel: exactly-once
 // execution across edge-case shapes, nested regions, reuse across many
-// calls, contention under skewed per-item cost, and the determinism
-// contract of ParallelReduce (bit-identical merges across thread counts).
+// calls, contention under skewed per-item cost, the pool's counters, and
+// regions run after a fork.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <atomic>
-#include <cmath>
-#include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/hashing.h"
@@ -146,103 +142,6 @@ TEST(ParallelForTest, ContentionStressSkewedCost) {
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
   }
-}
-
-TEST(ParallelForEachChunkTest, ChunksTileTheRange) {
-  constexpr size_t kN = 1003;
-  constexpr size_t kGrain = 17;
-  std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> chunks;
-  ParallelForEachChunk(
-      kN,
-      [&](size_t b, size_t e) {
-        std::lock_guard<std::mutex> lk(mu);
-        chunks.push_back({b, e});
-      },
-      Threads(8, kGrain));
-  std::sort(chunks.begin(), chunks.end());
-  ASSERT_EQ(chunks.size(), (kN + kGrain - 1) / kGrain);
-  size_t expect_begin = 0;
-  for (const auto& [b, e] : chunks) {
-    EXPECT_EQ(b, expect_begin);
-    EXPECT_GT(e, b);
-    EXPECT_LE(e - b, kGrain);
-    expect_begin = e;
-  }
-  EXPECT_EQ(expect_begin, kN);
-}
-
-// ---------------------------------------------------------------------------
-// ParallelReduce golden tests: the chunk partition depends only on n (and
-// an explicit grain), so floating-point sums must be bit-identical across
-// thread counts.
-// ---------------------------------------------------------------------------
-
-double NoisyValue(size_t i) {
-  // Values spanning many magnitudes so float addition is order-sensitive:
-  // any change in merge order would change the bits of the sum.
-  uint64_t h = SplitMix64(i + 1);
-  double mant = static_cast<double>(h % 1000003) / 1000003.0;
-  int exp = static_cast<int>(h >> 60) - 8;
-  return std::ldexp(mant, exp);
-}
-
-double ReduceSum(size_t n, const Options& opt) {
-  return ParallelReduce(
-      n, 0.0, [](size_t i, double& acc) { acc += NoisyValue(i); },
-      [](double a, double b) { return a + b; }, opt);
-}
-
-TEST(ParallelReduceTest, SumBitIdenticalAcrossThreadCounts) {
-  for (size_t n : {0ul, 1ul, 63ul, 64ul, 65ul, 10000ul}) {
-    double reference = ReduceSum(n, Threads(1));
-    for (size_t threads : {2, 3, 8}) {
-      double got = ReduceSum(n, Threads(threads));
-      EXPECT_EQ(got, reference) << "n=" << n << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelReduceTest, ExplicitGrainStillDeterministic) {
-  constexpr size_t kN = 5000;
-  double reference = ReduceSum(kN, Threads(1, /*grain=*/13));
-  for (size_t threads : {2, 8}) {
-    EXPECT_EQ(ReduceSum(kN, Threads(threads, /*grain=*/13)), reference);
-  }
-}
-
-TEST(ParallelReduceTest, MatchesSerialChunkedReference) {
-  constexpr size_t kN = 4096;
-  const size_t grain = ReduceGrain(kN);
-  // The documented merge order: fold each chunk serially, then fold the
-  // chunk partials in ascending chunk order.
-  double expected = 0.0;
-  for (size_t b = 0; b < kN; b += grain) {
-    double partial = 0.0;
-    for (size_t i = b; i < std::min(kN, b + grain); ++i) {
-      partial += NoisyValue(i);
-    }
-    expected += partial;
-  }
-  EXPECT_EQ(ReduceSum(kN, Threads(8)), expected);
-}
-
-TEST(ParallelReduceTest, NonCommutativeMergeKeepsIndexOrder) {
-  // Concatenation makes merge order visible directly.
-  constexpr size_t kN = 300;
-  auto run = [&](size_t threads) {
-    return ParallelReduce(
-        kN, std::string(),
-        [](size_t i, std::string& acc) {
-          acc += static_cast<char>('a' + (SplitMix64(i) % 26));
-        },
-        [](std::string a, std::string b) { return a + b; },
-        Threads(threads, /*grain=*/7));
-  };
-  std::string reference = run(1);
-  ASSERT_EQ(reference.size(), kN);
-  EXPECT_EQ(run(2), reference);
-  EXPECT_EQ(run(8), reference);
 }
 
 // ---------------------------------------------------------------------------

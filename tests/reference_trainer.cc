@@ -42,15 +42,14 @@ TrainedModel ReferenceTrainAutoTest(const table::Corpus& corpus,
   for (size_t c = 0; c < corpus.size(); ++c) {
     distinct[c] = table::Distinct(corpus[c]);
     eligible[c] = distinct[c].total != 0 &&
-                  distinct[c].size() >= options.min_distinct_values;
+                  distinct[c].size() >= kMinDistinctValues;
     if (eligible[c]) ++n_total;
   }
   // Appendix B.1: candidates covering fewer columns cannot reach
   // min_confidence.
   const int64_t min_cov =
       options.enable_pruning
-          ? stats::MinCoverageForConfidence(options.min_confidence,
-                                            options.wilson_z)
+          ? stats::MinCoverageForConfidence(options.min_confidence, kWilsonZ)
           : 0;
 
   TrainedModel model;
@@ -95,7 +94,7 @@ TrainedModel ReferenceTrainAutoTest(const table::Corpus& corpus,
     for (size_t i = 0; i < d_ins.size(); ++i) {
       for (size_t o = 0; o < d_outs.size(); ++o) {
         if (d_outs[o] <= d_ins[i]) continue;
-        for (double m : options.m_grid) {
+        for (double m : kMGrid) {
           ++model.candidates_enumerated;
           // Contingency table over the eligible columns (Section 5.2):
           // covered = P holds, triggered = S flags some value. Columns
@@ -130,7 +129,7 @@ TrainedModel ReferenceTrainAutoTest(const table::Corpus& corpus,
               (n_total - covered) - table.uncovered_triggered;
           double confidence =
               options.use_wilson
-                  ? stats::SdcConfidence(table, options.wilson_z)
+                  ? stats::SdcConfidence(table, kWilsonZ)
                   : (covered > 0 ? 1.0 - static_cast<double>(covered_trig) /
                                              static_cast<double>(covered)
                                  : 0.0);
@@ -138,13 +137,10 @@ TrainedModel ReferenceTrainAutoTest(const table::Corpus& corpus,
           double p = stats::ChiSquaredTestPValue(table);
           bool keep = confidence >= options.min_confidence;
           if (options.use_cohens_h && h < options.h_threshold) keep = false;
-          if (options.use_chi_squared && p >= options.p_threshold) {
-            keep = false;
-          }
-          if (options.use_separation_test &&
+          if (kUseChiSquared && p >= kPThreshold) keep = false;
+          if (kUseSeparationTest &&
               static_cast<double>(middle_band) >
-                  options.max_middle_band_fraction *
-                      static_cast<double>(n_total)) {
+                  kMaxMiddleBandFraction * static_cast<double>(n_total)) {
             keep = false;
           }
           if (!keep) {
@@ -166,7 +162,7 @@ TrainedModel ReferenceTrainAutoTest(const table::Corpus& corpus,
               det.push_back(static_cast<uint32_t>(j));
             }
           }
-          if (options.drop_zero_recall && det.empty()) {
+          if (kDropZeroRecall && det.empty()) {
             ++model.candidates_rejected;
             continue;
           }

@@ -579,12 +579,5 @@ TEST_F(RobustnessDeathTest, TrainOnEmptyCorpusAborts) {
       { TrainAutoTest(table::Corpus{}, *evals_, topt); }, "AT_CHECK");
 }
 
-TEST_F(RobustnessDeathTest, NonDescendingMGridAborts) {
-  TrainOptions topt;
-  topt.m_grid = {0.7, 0.9};  // must be strictly descending
-  EXPECT_DEATH({ TrainAutoTest(*corpus_, *evals_, topt); },
-               "m_grid must be strictly descending");
-}
-
 }  // namespace
 }  // namespace autotest::core

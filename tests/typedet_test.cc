@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -652,6 +653,153 @@ TEST(KernelOracleTest, SparseScoringMatchesDenseLoop) {
       }
     }
     EXPECT_EQ(mismatches, 0u) << zoo->name();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The scoring plan the trainer and the predictor share.
+// ---------------------------------------------------------------------------
+
+// The first `n` distinct gazetteer head values `model` can embed.
+std::vector<std::string> EmbeddableValues(const embed::EmbeddingModel& model,
+                                          size_t n) {
+  std::vector<std::string> out;
+  embed::Vector tmp;
+  for (const datagen::Domain& d : datagen::Gazetteer::Instance().domains()) {
+    for (const std::string& v : d.head) {
+      if (out.size() == n) return out;
+      if (std::find(out.begin(), out.end(), v) == out.end() &&
+          model.Embed(v, &tmp)) {
+        out.push_back(v);
+      }
+    }
+  }
+  return out;
+}
+
+// A hand-ordered list that interleaves both zoos' CTA functions, eleven
+// centroids of each embedding model (never two of one model in a row),
+// and pattern and validator functions: the plan makes one source per
+// backend in first-function order, computes each source's rows through
+// its first function, groups each model's functions into runs of at
+// most 8 in list order, gives every other function a run of its own and
+// puts the functions without a backend last. ScoreSource's distances
+// equal each function's own Distance bit for bit.
+TEST(ScoringPlanTest, SourcesAndRunsFollowTheListAndScoreLikeDistance) {
+  const std::shared_ptr<CtaModelZoo> sherlock = SharedSherlockSim();
+  const std::shared_ptr<CtaModelZoo> doduo = SharedDoduoSim();
+  const std::shared_ptr<embed::EmbeddingModel> glove = embed::SharedGloveSim();
+  const std::shared_ptr<embed::EmbeddingModel> sbert = embed::SharedSbertSim();
+  constexpr size_t kCentroids = 11;
+  const std::vector<std::string> glove_centroids =
+      EmbeddableValues(*glove, kCentroids);
+  const std::vector<std::string> sbert_centroids =
+      EmbeddableValues(*sbert, kCentroids);
+  ASSERT_EQ(glove_centroids.size(), kCentroids);
+  ASSERT_EQ(sbert_centroids.size(), kCentroids);
+  const char* const patterns[] = {"[a-zA-Z]+\\d+", "\\d+", "[a-z]+ [a-z]+",
+                                  "\\d+/\\d+/\\d+"};
+
+  std::vector<std::unique_ptr<DomainEvalFunction>> owned;
+  for (size_t k = 0; k < kCentroids; ++k) {
+    owned.push_back(MakeCtaEval(sherlock.get(), k));
+    owned.push_back(MakeEmbeddingEval(glove.get(), glove_centroids[k]));
+    if (k % 3 == 0) {
+      const std::optional<pattern::Pattern> p =
+          pattern::Pattern::Parse(patterns[k / 3]);
+      ASSERT_TRUE(p.has_value()) << patterns[k / 3];
+      owned.push_back(MakePatternEval(*p));
+    }
+    owned.push_back(MakeCtaEval(doduo.get(), k));
+    owned.push_back(MakeEmbeddingEval(sbert.get(), sbert_centroids[k]));
+    if (k % 3 == 1) owned.push_back(MakeFunctionEval(AllValidators()[k / 3]));
+  }
+  std::vector<const DomainEvalFunction*> list;
+  for (const auto& f : owned) list.push_back(f.get());
+  const ScoringPlan plan = PlanScoring(list);
+  ASSERT_EQ(plan.functions, list);
+
+  // Backends in first-function order, then the backend-less source.
+  const void* const backends[] = {sherlock.get(), glove.get(), doduo.get(),
+                                  sbert.get()};
+  ASSERT_EQ(plan.sources.size(), 5u);
+  for (size_t s = 0; s < 4; ++s) {
+    SCOPED_TRACE("source " + std::to_string(s));
+    const ScoringPlan::Source& source = plan.sources[s];
+    const size_t first = static_cast<size_t>(
+        std::find_if(list.begin(), list.end(),
+                     [&](const DomainEvalFunction* f) {
+                       return f->backend() == backends[s];
+                     }) -
+        list.begin());
+    EXPECT_EQ(source.rows, list[first]);
+    EXPECT_EQ(source.runs.front().front(), first);
+  }
+  EXPECT_EQ(plan.sources.back().rows, nullptr);
+
+  std::vector<size_t> times_planned(list.size(), 0);
+  std::map<const void*, std::vector<size_t>> model_runs;  // concatenated
+  for (const ScoringPlan::Source& source : plan.sources) {
+    const void* backend =
+        source.rows == nullptr ? nullptr : source.rows->backend();
+    for (const ScoringPlan::Run& run : source.runs) {
+      ASSERT_FALSE(run.empty());
+      for (size_t i : run) {
+        ++times_planned[i];
+        EXPECT_EQ(list[i]->backend(), backend) << list[i]->id();
+      }
+      if (list[run[0]]->family() != Family::kEmbedding) {
+        EXPECT_EQ(run.size(), 1u) << list[run[0]]->id();
+        continue;
+      }
+      EXPECT_LE(run.size(), 8u);
+      EXPECT_TRUE(std::is_sorted(run.begin(), run.end()));
+      for (size_t i : run) {
+        EXPECT_EQ(list[i]->family(), Family::kEmbedding) << list[i]->id();
+      }
+      model_runs[backend].insert(model_runs[backend].end(), run.begin(),
+                                 run.end());
+    }
+  }
+  EXPECT_EQ(times_planned, std::vector<size_t>(list.size(), 1));
+  for (const void* model : {backends[1], backends[3]}) {
+    std::vector<size_t> in_list_order;
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (list[i]->backend() == model) in_list_order.push_back(i);
+    }
+    EXPECT_EQ(model_runs[model], in_list_order);
+  }
+  for (size_t s : {1, 3}) {  // eleven centroids: one run of 8, one of 3
+    ASSERT_EQ(plan.sources[s].runs.size(), 2u);
+    EXPECT_EQ(plan.sources[s].runs[0].size(), 8u);
+  }
+
+  // Each function's emitted distances against its own Distance, on a
+  // probe block with values GloVe cannot embed.
+  const std::vector<std::string> values = GeneratedValues(200);
+  const std::vector<std::string_view> probe(values.begin(), values.end());
+  BackendRows rows;
+  std::vector<double> dist;
+  std::vector<std::vector<double>> emitted(list.size());
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    ScoreSource(plan, s, probe, util::MemoWrite::kReadOnly, &rows, &dist,
+                [&](size_t i, std::span<const double> d) {
+                  ASSERT_TRUE(emitted[i].empty()) << list[i]->id();
+                  emitted[i].assign(d.begin(), d.end());
+                });
+    if (plan.sources[s].rows != nullptr &&
+        plan.sources[s].rows->backend() == glove.get()) {
+      EXPECT_TRUE(std::find(rows.ok.begin(), rows.ok.end(), 0) !=
+                  rows.ok.end())
+          << "the probe must hold values GloVe cannot embed";
+    }
+  }
+  for (size_t i = 0; i < list.size(); ++i) {
+    std::vector<double> want(probe.size());
+    for (size_t v = 0; v < probe.size(); ++v) {
+      want[v] = list[i]->Distance(probe[v]);
+    }
+    ExpectSameBits(emitted[i], want, list[i]->id());
   }
 }
 
